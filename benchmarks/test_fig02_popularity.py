@@ -9,7 +9,6 @@ queries cover well over half of the log.
 """
 
 import numpy as np
-from scipy import stats
 
 from common import emit, get_dataset
 
@@ -20,9 +19,9 @@ def run_experiment():
     popularity = popularity[popularity > 0]
     total = popularity.sum()
     ranks = np.arange(1, len(popularity) + 1)
-    slope, _, r_value, _, _ = stats.linregress(
-        np.log10(ranks), np.log10(popularity)
-    )
+    x, y = np.log10(ranks), np.log10(popularity)
+    slope, _ = np.polyfit(x, y, 1)
+    r_value = np.corrcoef(x, y)[0, 1]
     rows = []
     for pct in (1, 5, 10, 25, 50):
         top = max(1, int(len(popularity) * pct / 100))

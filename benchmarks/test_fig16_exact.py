@@ -15,7 +15,7 @@ from common import (
     get_context,
     get_dataset,
 )
-from repro.eval.methods import build_caching_pipeline, build_tree_pipeline
+from repro.eval.methods import build_caching_pipeline
 from repro.eval.runner import Experiment
 
 DATASET = "imgnet-sim"
@@ -25,10 +25,10 @@ READ_LATENCY = 5e-3
 
 
 def _tree_times(index_name, method, dataset, context, k_values):
-    pipeline = build_tree_pipeline(
+    pipeline = build_caching_pipeline(
         dataset,
-        index_name,
-        method,
+        method=method,
+        index_name=index_name,
         tau=DEFAULT_TAU,
         cache_bytes=cache_bytes_for(dataset),
         k=DEFAULT_K,

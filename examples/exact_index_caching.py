@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import load_dataset
-from repro.eval.methods import build_tree_pipeline
+from repro.eval.methods import build_caching_pipeline
 from repro.index.linear_scan import exact_knn
 
 SEED = 5
@@ -33,8 +33,8 @@ def main() -> None:
     for index_name in ("idistance", "vptree"):
         print(f"\n=== {index_name} ===")
         pipelines = {
-            method: build_tree_pipeline(
-                dataset, index_name, method, tau=TAU,
+            method: build_caching_pipeline(
+                dataset, method=method, index_name=index_name, tau=TAU,
                 cache_bytes=cache_bytes, k=K, seed=SEED,
             )
             for method in ("NO-CACHE", "EXACT", "HC-O")

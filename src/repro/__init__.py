@@ -33,7 +33,6 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "ApproximateCache": "repro.core.cache",
     "CachePolicy": "repro.core.cache",
-    "CachedKNNSearch": "repro.core.search",
     "CostModel": "repro.core.cost_model",
     "Dataset": "repro.data.datasets",
     "ExactCache": "repro.core.cache",
@@ -42,7 +41,7 @@ _EXPORTS = {
     "FormatVersionError": "repro.artifacts.errors",
     "Histogram": "repro.core.histogram",
     "PipelineSpec": "repro.spec.sections",
-    "SearchResult": "repro.core.search",
+    "SearchResult": "repro.engine.stats",
     "build_caching_pipeline": "repro.eval.methods",
     "inspect_snapshot": "repro.artifacts.snapshot",
     "load_dataset": "repro.data.datasets",

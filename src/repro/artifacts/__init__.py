@@ -14,8 +14,8 @@ Layers:
 * :mod:`repro.artifacts.churn` — versioned per-shard mutation deltas,
   published through the same publish-then-swap protocol and merged back
   at snapshot rebuild.
-* :mod:`repro.artifacts.legacy` — the single-file ``.npz`` format behind
-  ``repro.persist``.
+* :mod:`repro.artifacts.legacy` — the single-file ``.npz`` format for
+  datasets, histograms and encoders.
 """
 
 from repro.artifacts.churn import (

@@ -4,9 +4,6 @@ The original (pre-snapshot) artifact format: one compressed archive per
 object.  Kept for datasets and standalone histogram/encoder exchange;
 full pipelines are persisted by :mod:`repro.artifacts.snapshot`, whose
 members stay memory-mappable (``.npz`` members are not).
-
-``repro.persist`` re-exports everything here, so existing callers keep
-working unchanged.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ tables through the page cache.  A loaded pipeline is bit-identical to
 the freshly built one — same ids, same distances, same page reads.
 
 ``save_cache_snapshot``/``load_cache_snapshot`` persist just a cache
-(the daily-rebuild artifact of :class:`repro.core.maintenance.
-CacheMaintainer`), published atomically under a ``CURRENT`` pointer for
+(the daily-rebuild artifact of :class:`repro.workload.DriftController`),
+published atomically under a ``CURRENT`` pointer for
 hot swap under live traffic.
 """
 
@@ -100,7 +100,7 @@ def save_snapshot(
     index_params = dict(spec.index.params) if spec is not None else None
     seed = spec.seed if spec is not None else 0
 
-    if hasattr(pipeline, "searcher"):  # CachingPipeline
+    if hasattr(pipeline, "context"):  # CachingPipeline
         ctx = pipeline.context
         point_file = ctx.point_file
         value_bytes = point_file.value_bytes
@@ -245,7 +245,7 @@ def load_snapshot(
             spec=spec,
         )
 
-    from repro.core.search import CachedKNNSearch
+    from repro.engine.engine import QueryEngine
     from repro.eval.methods import CachingPipeline
     from repro.storage.disk import DiskConfig, SimulatedDisk
     from repro.storage.pointfile import PointFile
@@ -257,7 +257,7 @@ def load_snapshot(
         order=store.load(manifest["points"]["order"], mmap=mmap),
         value_bytes=int(manifest["value_bytes"]),
     )
-    searcher = CachedKNNSearch(
+    engine = QueryEngine.for_index(
         index, point_file, cache, metrics=metrics, resilience=resilience
     )
     context = ServingContext(
@@ -268,7 +268,7 @@ def load_snapshot(
         cache=cache,
         method=manifest["method"],
         tau=manifest["tau"],
-        searcher=searcher,
+        engine=engine,
         spec=spec,
     )
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.search import CachedKNNSearch, QueryStats, SearchResult
+from repro.engine.engine import QueryEngine
+from repro.engine.stats import QueryStats, SearchResult
 
 
 def _query_key(query: np.ndarray, k: int) -> tuple:
@@ -102,20 +103,20 @@ class ResultCache:
 
 
 class ResultCachedSearch:
-    """A searcher wrapper that consults a ResultCache before searching.
+    """A query engine fronted by a ResultCache.
 
     Answers to repeated (identical) queries cost zero I/O; everything
-    else falls through to the wrapped searcher.
+    else falls through to the engine.
     """
 
-    def __init__(self, searcher: CachedKNNSearch, cache: ResultCache) -> None:
-        self.searcher = searcher
+    def __init__(self, engine: QueryEngine, cache: ResultCache) -> None:
+        self.engine = engine
         self.cache = cache
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         cached = self.cache.get(query, k)
         if cached is not None:
             return cached
-        result = self.searcher.search(query, k)
+        result = self.engine.search(query, k)
         self.cache.put(query, k, result)
         return result

@@ -1,12 +1,11 @@
 """Unified per-query accounting for both cached-search paths.
 
-Historically the candidate-set pipeline (``repro.core.search``) and the
-tree-leaf pipeline (``repro.index.treesearch``) reported incompatible
-records.  The engine unifies them: ``QueryStats`` carries the Algorithm-1
-counters used by every experiment in the paper plus *optional* tree-path
-counters (``None`` on the candidate-set path).  ``SearchResult`` is the
-single answer type of the engine; tree answers carry exact distances and
-an all-true ``exact_mask``.
+The candidate-set path and the tree-leaf path
+(``repro.index.treesearch``) share one record: ``QueryStats`` carries
+the Algorithm-1 counters used by every experiment in the paper plus
+*optional* tree-path counters (``None`` on the candidate-set path).
+``SearchResult`` is the single answer type of the engine; tree answers
+carry exact distances and an all-true ``exact_mask``.
 """
 
 from __future__ import annotations

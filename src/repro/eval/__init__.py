@@ -5,7 +5,6 @@ from repro.eval.methods import (
     CachingPipeline,
     WorkloadContext,
     build_caching_pipeline,
-    build_tree_pipeline,
 )
 from repro.eval.reporting import format_table, write_csv
 from repro.eval.runner import Experiment, ExperimentResult, measure_m1
@@ -17,7 +16,6 @@ __all__ = [
     "METHOD_NAMES",
     "WorkloadContext",
     "build_caching_pipeline",
-    "build_tree_pipeline",
     "format_table",
     "measure_m1",
     "write_csv",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.cache import ApproximateCache, CachePolicy
 from repro.core.encoder import PointEncoder
 from repro.core.reduction import reduce_candidates
-from repro.core.search import QueryStats
+from repro.engine.stats import QueryStats
 from repro.data.datasets import Dataset
 from repro.eval.methods import WorkloadContext
 from repro.obs.registry import MetricsRegistry

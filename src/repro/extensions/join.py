@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.search import CachedKNNSearch, QueryStats
+from repro.engine.engine import QueryEngine
+from repro.engine.stats import QueryStats
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,13 @@ class JoinResult:
 
 
 def knn_join(
-    queries: np.ndarray, searcher: CachedKNNSearch, k: int
+    queries: np.ndarray, engine: QueryEngine, k: int
 ) -> JoinResult:
     """Join every query point with its k nearest data points.
 
     Args:
         queries: ``(m, d)`` query set ``Q``.
-        searcher: a ready Algorithm-1 pipeline (index + cache + file);
+        engine: a candidate-set query engine (index + cache + file);
             results are identical to the uncached index's answers.
         k: neighbors per query point.
     """
@@ -65,7 +66,7 @@ def knn_join(
     gen_reads = 0
     # The join *is* a query batch: the engine probes the cache once for
     # the union of candidates and decodes each cached code exactly once.
-    for i, result in enumerate(searcher.search_many(queries, k)):
+    for i, result in enumerate(engine.search_many(queries, k)):
         found = min(len(result.ids), k)
         ids[i, :found] = result.ids[:found]
         dists[i, :found] = result.distances[:found]
@@ -82,17 +83,17 @@ def knn_join(
 
 
 def knn_self_join(
-    searcher: CachedKNNSearch, k: int, exclude_self: bool = True
+    engine: QueryEngine, k: int, exclude_self: bool = True
 ) -> JoinResult:
-    """kNN self-join of the data set behind ``searcher``.
+    """kNN self-join of the data set behind ``engine``.
 
     Each point is joined with its k nearest *other* points (pass
     ``exclude_self=False`` to keep the point itself, which is always its
     own nearest neighbor).
     """
-    points = searcher.point_file.points
+    points = engine.point_file.points
     inner_k = k + 1 if exclude_self else k
-    result = knn_join(points, searcher, inner_k)
+    result = knn_join(points, engine, inner_k)
     if not exclude_self:
         return result
     ids = np.full((len(points), k), -1, dtype=np.int64)

@@ -9,8 +9,9 @@ what both E2LSH and C2LSH exploit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 
 def collision_probability(distance: float, width: float) -> float:
@@ -26,7 +27,8 @@ def collision_probability(distance: float, width: float) -> float:
     if distance == 0:
         return 1.0
     ratio = width / distance
-    term1 = 1.0 - 2.0 * norm.cdf(-ratio)
+    # 1 - 2 Phi(-r) == 1 - erfc(r / sqrt 2)
+    term1 = 1.0 - math.erfc(ratio / math.sqrt(2.0))
     term2 = (
         2.0 / (np.sqrt(2.0 * np.pi) * ratio) * (1.0 - np.exp(-(ratio**2) / 2.0))
     )

@@ -4,7 +4,9 @@ Open-loop means arrivals are paced by the *offered* rate alone — the
 generator never waits for a response before submitting the next request,
 so queueing delay shows up in the measured latency instead of silently
 throttling the arrival process (the coordinated-omission mistake that
-closed-loop replay makes).
+closed-loop replay makes).  A paced request's latency is measured from
+its *scheduled* arrival, so a stall that holds up later submissions is
+charged to them too.
 
 Pacing runs through the server's :class:`~repro.serve.clock.Clock`, so
 under a ``ManualClock`` the generator is deterministic and instantaneous;
@@ -88,6 +90,10 @@ def run_open_loop(
 ) -> LoadReport:
     """Offer ``queries`` at ``rate_qps`` and report the latency profile.
 
+    With ``rate_qps > 0`` request ``i`` is due at ``start + i / rate_qps``
+    and its latency runs from that due time to completion; with
+    ``rate_qps=0`` it runs from admission.
+
     With an inline executor the generator pumps the server after every
     arrival (flush rules still decide when batches actually go out) and
     drains at the end; with a threaded executor the dispatcher flushes on
@@ -111,14 +117,19 @@ def run_open_loop(
     inline = server.executor.inline
     start = clock.now()
     tickets = []
+    # per request: how long after its due time it was admitted
+    late_s = []
     mutation_tickets = []
     churn_acc = 0.0
     for i, query in enumerate(np.asarray(queries)):
+        late = 0.0
         if rate_qps > 0:
             target = start + i / rate_qps
             now = clock.now()
             if target > now:
                 clock.sleep(target - now)
+            late = max(clock.now() - target, 0.0)
+        late_s.append(late)
         tickets.append(server.submit(query, k=k, tier=tier))
         if mutator is not None and churn_rate > 0:
             churn_acc += churn_rate
@@ -156,7 +167,9 @@ def run_open_loop(
             counts["degraded"] += 1
         if _is_expired(response):
             counts["expired"] += 1
-    latencies_ms = np.array([r.latency_s * 1e3 for r in served])
+    latencies_ms = np.array(
+        [(r.latency_s + late) * 1e3 for r, late in zip(responses, late_s) if r.ok]
+    )
     batch_sizes = np.array([r.batch_size for r in served])
     return LoadReport(
         offered_qps=rate_qps,

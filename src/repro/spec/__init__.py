@@ -5,8 +5,8 @@ complete cached-search configuration: dataset, index, cache method,
 resilience, sharding and metrics.  It round-trips through JSON and TOML,
 and :meth:`PipelineSpec.build` is the *only* place in the codebase that
 wires an index + cache + point file into a pipeline — the historical
-entry points (``build_caching_pipeline``, ``build_tree_pipeline``,
-``Experiment``, ``shard.factory``, the CLI) are thin adapters over it.
+entry points (``build_caching_pipeline``, ``Experiment``,
+``shard.factory``, the CLI) are thin adapters over it.
 
 The component registry (:mod:`repro.spec.registry`) maps index family
 names to builder callables and is extensible via :func:`register_index`.

@@ -1,12 +1,12 @@
 """The single pipeline-construction implementation.
 
-Everything that used to wire indexes, caches and point files together —
-``build_caching_pipeline``, ``build_tree_pipeline``, ``make_cache``,
-``shard.factory.method_cache_spec``, ``Experiment.run`` and the CLI —
-now adapts its arguments into a :class:`~repro.spec.PipelineSpec` and
-calls :func:`build_pipeline` / :func:`build_sharded` here.  Keeping one
-copy is what makes snapshot artifacts trustworthy: the spec embedded in
-a manifest rebuilds through exactly the code that built the original.
+Everything that wires indexes, caches and point files together —
+``build_caching_pipeline``, ``shard.factory.method_cache_spec``,
+``Experiment.run`` and the CLI — adapts its arguments into a
+:class:`~repro.spec.PipelineSpec` and calls :func:`build_pipeline` /
+:func:`build_sharded` here.  Keeping one copy is what makes snapshot
+artifacts trustworthy: the spec embedded in a manifest rebuilds through
+exactly the code that built the original.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.core.cache import (
     PointCache,
 )
 from repro.core.encoder import IndividualHistogramEncoder
-from repro.core.search import CachedKNNSearch
 from repro.data.datasets import Dataset, load_dataset
+from repro.engine.engine import QueryEngine
 from repro.spec.registry import TREE_INDEX_NAMES, build_index
 from repro.spec.sections import (
     CacheSection,
@@ -38,7 +38,7 @@ from repro.spec.sections import (
 def resolve_dataset(section: DatasetSection) -> Dataset:
     """Materialize the spec's dataset (saved file wins over registry)."""
     if section.path is not None:
-        from repro.persist import load_dataset_file
+        from repro.artifacts.legacy import load_dataset_file
 
         return load_dataset_file(section.path)
     return load_dataset(section.name, seed=section.seed, scale=section.scale)
@@ -252,11 +252,11 @@ def build_pipeline(
     if resilience is None and spec.resilience.enabled:
         _, resilience = build_resilience(spec.resilience)
     if spec.index.name in TREE_INDEX_NAMES:
-        return _build_tree_pipeline(spec, dataset, context, metrics)
-    return _build_point_pipeline(spec, dataset, context, metrics, resilience)
+        return _build_tree(spec, dataset, context, metrics)
+    return _build_point(spec, dataset, context, metrics, resilience)
 
 
-def _build_point_pipeline(spec, dataset, context, metrics, resilience):
+def _build_point(spec, dataset, context, metrics, resilience):
     from repro.eval.methods import CachingPipeline, WorkloadContext
 
     if context is None:
@@ -276,7 +276,7 @@ def _build_point_pipeline(spec, dataset, context, metrics, resilience):
         policy=resolve_policy(spec.cache.policy),
         kernel=spec.cache.kernel,
     )
-    searcher = CachedKNNSearch(
+    engine = QueryEngine.for_index(
         context.index,
         context.point_file,
         cache,
@@ -288,7 +288,7 @@ def _build_point_pipeline(spec, dataset, context, metrics, resilience):
         cache=cache,
         method=spec.cache.method,
         tau=spec.cache.tau,
-        searcher=searcher,
+        engine=engine,
         spec=spec,
     )
     if spec.adapt.enabled:
@@ -353,7 +353,7 @@ def attach_adaptation(spec, context, engine, metrics=None):
     return controller
 
 
-def _build_tree_pipeline(spec, dataset, context, metrics):
+def _build_tree(spec, dataset, context, metrics):
     from repro.eval.methods import TreePipeline, WorkloadContext
 
     method = spec.cache.method

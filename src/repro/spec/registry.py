@@ -2,7 +2,7 @@
 
 One table replaces the three divergent copies of index wiring that used
 to live in ``eval.methods._build_index``, ``shard.spec.INDEX_BUILDERS``
-and ``build_tree_pipeline``.  Builders share one signature::
+and the tree-pipeline builder.  Builders share one signature::
 
     builder(points, *, seed=0, value_bytes=4, params=None) -> index
 

@@ -11,6 +11,8 @@ import pytest
 
 from repro.artifacts.store import read_current
 from repro.core.cache import CachePolicy
+from repro.data.workload import generate_query_log
+from repro.engine import QueryEngine
 from repro.eval.methods import build_caching_pipeline
 from repro.obs import MetricsRegistry, drift_comparison
 from repro.spec import (
@@ -215,19 +217,45 @@ class TestDriftController:
         controller = make_controller(pipeline)
         dataset = pipeline.context.dataset
         controller.model.record_batch(dataset.query_log.workload[:30])
-        controller.retrain()
-        from repro.core.search import CachedKNNSearch
-
-        searcher = CachedKNNSearch(
+        report = controller.retrain()
+        assert report.window_size == 30
+        engine = QueryEngine.for_index(
             pipeline.context.index,
             pipeline.context.point_file,
             controller.cache,
         )
         for query in dataset.query_log.test[:4]:
-            result = searcher.search(query, K)
+            result = engine.search(query, K)
             d = np.linalg.norm(dataset.points - query, axis=1)
             kth = np.sort(d)[K - 1]
             assert np.all(d[result.ids] <= kth + 1e-9)
+
+    def test_retrain_adapts_to_shifted_workload(self, pipeline):
+        """After the query distribution moves, a retrain restores hits."""
+        points = pipeline.context.dataset.points
+        controller = make_controller(pipeline, capacity=100)
+        log_a = generate_query_log(points, pool_size=20, workload_size=100,
+                                   test_size=10, seed=2)
+        controller.model.record_batch(log_a.workload)
+        controller.retrain()
+        cache_a = controller.cache
+
+        # Phase shift: a different pool of popular queries.
+        log_b = generate_query_log(points, pool_size=20, workload_size=100,
+                                   test_size=10, seed=99)
+        controller.model.record_batch(log_b.workload)
+        controller.retrain()
+        cache_b = controller.cache
+
+        def hit_ratio(cache, queries):
+            engine = QueryEngine.for_index(
+                pipeline.context.index, pipeline.context.point_file, cache
+            )
+            return float(np.mean(
+                [engine.search(q, K).stats.hit_ratio for q in queries]
+            ))
+
+        assert hit_ratio(cache_b, log_b.test) >= hit_ratio(cache_a, log_b.test)
 
 
 class TestHotSwapDifferential:

@@ -8,11 +8,10 @@ from repro.eval.methods import (
     METHOD_NAMES,
     WorkloadContext,
     build_caching_pipeline,
-    build_tree_pipeline,
-    make_cache,
 )
 from repro.eval.reporting import format_table, write_csv
 from repro.eval.runner import Experiment, measure_m1, summarize
+from repro.spec.build import make_method_cache
 from tests.conftest import assert_valid_knn
 
 
@@ -98,7 +97,7 @@ class TestMethodLineup:
     def test_cva_bits_fit_budget(self, tiny_dataset, tiny_context):
         # 20 KB: 4 bits/dim (one word per 16-d point) holds all 2000 points.
         budget = 20_000
-        cache = make_cache(tiny_context, "C-VA", cache_bytes=budget)
+        cache = make_method_cache(tiny_context, "C-VA", cache_bytes=budget)
         assert cache.used_bytes <= budget
         assert cache.num_items == tiny_dataset.num_points
         assert cache.encoder.bits <= 4
@@ -118,8 +117,9 @@ class TestTreePipelines:
     @pytest.mark.parametrize("index_name", ["idistance", "vptree", "mtree"])
     @pytest.mark.parametrize("method", ["NO-CACHE", "EXACT", "HC-O"])
     def test_exactness(self, micro_dataset, index_name, method):
-        pipeline = build_tree_pipeline(
-            micro_dataset, index_name, method, tau=5, cache_bytes=30_000, k=5
+        pipeline = build_caching_pipeline(
+            micro_dataset, method=method, tau=5, cache_bytes=30_000,
+            index_name=index_name, k=5,
         )
         for q in micro_dataset.query_log.test[:5]:
             res = pipeline.search(q, 5)
@@ -127,7 +127,9 @@ class TestTreePipelines:
 
     def test_unknown_index(self, micro_dataset):
         with pytest.raises(ValueError):
-            build_tree_pipeline(micro_dataset, "rtree-bogus", "EXACT")
+            build_caching_pipeline(
+                micro_dataset, method="EXACT", index_name="rtree-bogus"
+            )
 
 
 class TestRunner:

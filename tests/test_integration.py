@@ -11,9 +11,9 @@ from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.histogram import Histogram
 from repro.core.multistep import multistep_knn
 from repro.core.reduction import reduce_candidates
-from repro.core.search import CachedKNNSearch
 from repro.data.datasets import Dataset
 from repro.data.workload import generate_query_log
+from repro.engine import QueryEngine
 from repro.eval.methods import WorkloadContext, build_caching_pipeline
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.pointfile import PointFile
@@ -75,8 +75,8 @@ class TestPaperSection3Example:
         cache = ApproximateCache(enc, 1 << 10, len(points))
         cache.populate(np.array([0, 1, 2, 3]), points[:4])  # p1..p4 cached
         index = LinearScanIndex(6)  # C(q) = p1..p6
-        searcher = CachedKNNSearch(index, pf, cache)
-        res = searcher.search(self.QUERY, 1)
+        engine = QueryEngine.for_index(index, pf, cache)
+        res = engine.search(self.QUERY, 1)
         assert res.stats.refined_fetches <= 4
         assert res.ids.tolist() == [1]  # p2 = (10, 16), dist 5.10
 

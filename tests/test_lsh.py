@@ -1,5 +1,10 @@
 """LSH substrate: hash families, collision probabilities, C2LSH, E2LSH."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,6 +90,12 @@ class TestC2LSHParams:
         m, l, p1, p2 = derive_collision_threshold(params)
         assert p2 < l / m <= p1 + 1e-9
         assert 16 <= m <= 192
+
+    def test_default_geometry_is_pinned(self):
+        """The C2LSH geometry every LSH benchmark runs on, bit for bit."""
+        assert derive_collision_threshold(C2LSHParams()) == (
+            192, 55, 0.3687463803725072, 0.19541710799949333
+        )
 
     def test_explicit_m(self):
         m, l, _, _ = derive_collision_threshold(C2LSHParams(n_hashes=50))
@@ -179,3 +190,19 @@ class TestE2LSHIndex:
         index = E2LSHIndex(clustered, seed=0)
         with pytest.raises(ValueError):
             index.candidates(clustered[0], 0)
+
+
+def test_lsh_and_mutate_import_without_scipy():
+    """numpy is the only numeric dependency of the LSH and mutation paths."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, repro.lsh, repro.mutate; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from repro.core.cache import ApproximateCache, LeafNodeCache, NoCache
 from repro.core.domain import ValueDomain
 from repro.core.encoder import GlobalHistogramEncoder
 from repro.core.resultcache import ResultCache, ResultCachedSearch
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex, exact_knn
 from repro.index.mtree import MTreeIndex
 from repro.lsh.sklsh import SKLSHIndex
@@ -104,14 +104,14 @@ class TestSKLSH:
 
 class TestResultCache:
     @pytest.fixture()
-    def searcher(self, micro_points):
-        return CachedKNNSearch(
+    def engine(self, micro_points):
+        return QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), NoCache()
         )
 
-    def test_repeat_query_is_free(self, searcher, micro_points):
+    def test_repeat_query_is_free(self, engine, micro_points):
         cache = ResultCache(1 << 16, micro_points.shape[1])
-        wrapped = ResultCachedSearch(searcher, cache)
+        wrapped = ResultCachedSearch(engine, cache)
         q = micro_points[5]
         first = wrapped.search(q, 4)
         assert first.stats.refine_page_reads > 0
@@ -120,19 +120,19 @@ class TestResultCache:
         assert np.array_equal(second.ids, first.ids)
         assert cache.stats().hits == 1
 
-    def test_different_k_misses(self, searcher, micro_points):
+    def test_different_k_misses(self, engine, micro_points):
         cache = ResultCache(1 << 16, micro_points.shape[1])
-        wrapped = ResultCachedSearch(searcher, cache)
+        wrapped = ResultCachedSearch(engine, cache)
         q = micro_points[5]
         wrapped.search(q, 4)
         wrapped.search(q, 5)
         assert cache.stats().hits == 0
 
-    def test_lru_eviction_under_budget(self, searcher, micro_points):
+    def test_lru_eviction_under_budget(self, engine, micro_points):
         d = micro_points.shape[1]
         entry_cost = 8 * (d + 2 * 3) + 16
         cache = ResultCache(entry_cost * 2, d)
-        wrapped = ResultCachedSearch(searcher, cache)
+        wrapped = ResultCachedSearch(engine, cache)
         for qi in (0, 1, 2):
             wrapped.search(micro_points[qi], 3)
         assert cache.num_entries == 2
@@ -140,9 +140,9 @@ class TestResultCache:
         assert cache.get(micro_points[0], 3) is None
         assert cache.get(micro_points[2], 3) is not None
 
-    def test_oversized_entry_rejected(self, searcher, micro_points):
+    def test_oversized_entry_rejected(self, engine, micro_points):
         cache = ResultCache(8, micro_points.shape[1])
-        wrapped = ResultCachedSearch(searcher, cache)
+        wrapped = ResultCachedSearch(engine, cache)
         wrapped.search(micro_points[0], 3)
         assert cache.num_entries == 0
 
@@ -153,10 +153,10 @@ class TestResultCache:
         enc = GlobalHistogramEncoder(build_equidepth(dom, 32), micro_points.shape[1])
         point_cache = ApproximateCache(enc, 1 << 14, len(micro_points))
         point_cache.populate(np.arange(len(micro_points)), micro_points)
-        base_pc = CachedKNNSearch(
+        base_pc = QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), point_cache
         )
-        base_rc = CachedKNNSearch(
+        base_rc = QueryEngine.for_index(
             LinearScanIndex(len(micro_points)), PointFile(micro_points), NoCache()
         )
         rc = ResultCachedSearch(base_rc, ResultCache(1 << 16, micro_points.shape[1]))

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.cache import ApproximateCache, NoCache
 from repro.engine.context import PhaseHook
-from repro.eval.methods import build_caching_pipeline, build_tree_pipeline
+from repro.eval.methods import build_caching_pipeline
 from repro.eval.runner import Experiment
 from repro.obs import CacheTelemetry, Counter, FixedHistogram, Gauge, MetricsRegistry
 from repro.obs.hooks import MetricsHook
@@ -318,7 +318,7 @@ class TestMetricsHookAggregation:
 
     def test_tree_queries_feed_tree_counters(self, micro_dataset):
         reg = MetricsRegistry()
-        pipeline = build_tree_pipeline(
+        pipeline = build_caching_pipeline(
             micro_dataset, index_name="idistance", method="EXACT",
             cache_bytes=1 << 12, metrics=reg,
         )

@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.artifacts.errors import FormatVersionError
+from repro.artifacts.legacy import (
+    _FORMAT_VERSION,
+    load_dataset_file,
+    load_encoder,
+    load_histogram,
+    save_dataset,
+    save_encoder,
+    save_histogram,
+)
 from repro.core.builders import build_equidepth, build_knn_optimal
 from repro.core.domain import ValueDomain
 from repro.core.encoder import (
@@ -12,16 +22,6 @@ from repro.core.encoder import (
 )
 from repro.data.datasets import Dataset
 from repro.data.workload import generate_query_log
-from repro.persist import (
-    _FORMAT_VERSION,
-    FormatVersionError,
-    load_dataset_file,
-    load_encoder,
-    load_histogram,
-    save_dataset,
-    save_encoder,
-    save_histogram,
-)
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ import pytest
 from repro.core.bounds import rectangle_bounds
 from repro.core.cache import ApproximateCache
 from repro.core.pq import PQEncoder
-from repro.core.search import CachedKNNSearch
+from repro.engine import QueryEngine
 from repro.index.linear_scan import LinearScanIndex
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
@@ -82,12 +82,12 @@ class TestPQInPipeline:
         enc = PQEncoder(points, n_subspaces=4, bits=5)
         cache = ApproximateCache(enc, 1 << 14, len(points))
         cache.populate(np.arange(len(points)), points)
-        searcher = CachedKNNSearch(
+        engine = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), cache
         )
         for qi in (0, 99, 300):
             q = points[qi] + 0.4
-            res = searcher.search(q, 6)
+            res = engine.search(q, 6)
             assert_valid_knn(points, q, 6, res.ids)
 
     def test_pq_cache_saves_io(self, points):
@@ -96,10 +96,10 @@ class TestPQInPipeline:
         enc = PQEncoder(points, n_subspaces=4, bits=5)
         cache = ApproximateCache(enc, 1 << 14, len(points))
         cache.populate(np.arange(len(points)), points)
-        cached = CachedKNNSearch(
+        cached = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), cache
         )
-        plain = CachedKNNSearch(
+        plain = QueryEngine.for_index(
             LinearScanIndex(len(points)), PointFile(points), NoCache()
         )
         q = points[3] + 0.2

@@ -512,6 +512,35 @@ class TestLoadGen:
         # clock, so p99 is bounded by the flush wait.
         assert report.latency_p99_ms <= 2.1
 
+    def test_stall_is_charged_to_delayed_arrivals(self, data):
+        """Latency runs from the scheduled arrival, not from admission.
+
+        Arrivals are due every 10 ms; the first batch stalls 50 ms, so
+        requests 1..5 are admitted 40, 30, 20, 10 and 0 ms late and
+        served instantly.  Timed from admission they would read 0 ms.
+        """
+        clock = ManualClock()
+        engine = make_engine(data)
+        inner = engine.search_many
+        stalls = [0.050]
+
+        def stalled(queries, k, *args, **kwargs):
+            if stalls:
+                clock.advance(stalls.pop())
+            return inner(queries, k, *args, **kwargs)
+
+        engine.search_many = stalled
+        server, _, _ = make_server(
+            data, clock=clock, engine=engine,
+            config=ServeConfig(max_batch=1, max_queue_depth=8),
+        )
+        report = run_open_loop(server, data["queries"][:6], rate_qps=100.0)
+        server.close()
+        assert report.served == 6
+        assert report.latency_mean_ms == pytest.approx(25.0)
+        assert report.latency_p50_ms == pytest.approx(25.0)
+        assert report.latency_p99_ms == pytest.approx(49.5)
+
     def test_saturating_load_fills_batches(self, data):
         server, _, _ = make_server(
             data,
