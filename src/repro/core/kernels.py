@@ -21,9 +21,10 @@ Three kernels, all **bit-identical** (see the contract below):
 
 * ``decode`` — the baseline path (rectangles + batch bound kernel).
   Always available, supports every encoder.
-* ``numpy``  — table build + fancy-index gather + ``np.sum`` in NumPy.
-  Always available; falls back to ``decode`` for encoders without
-  per-bucket structure (PQ's blockwise cells, the EXACT encoder).
+* ``numpy``  — table build + flat ``np.take`` gather + ``np.sum`` in
+  NumPy (:func:`gather_bounds`, which the VA-file and VA+-file scans
+  call too).  Always available; falls back to ``decode`` for encoders
+  without per-bucket structure (PQ's blockwise cells, the EXACT encoder).
 * ``native`` — a small C kernel compiled on demand with the system C
   compiler and loaded via ctypes.  It reads ``BitPackedMatrix`` words
   directly — the ``(m, d)`` code matrix is never materialized — and
@@ -135,6 +136,41 @@ def _contribution_tables(
     return tlb, tub
 
 
+def gather_index(
+    codes: np.ndarray, n_buckets: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Flat indices into a raveled ``(d, n_buckets)`` table, shape ``(m, d)``.
+
+    Entry ``(i, j)`` is ``j * n_buckets + code_ij``: table row ``j`` at
+    bucket ``code_ij``.  Codes are assumed in ``[0, n_buckets)``.
+    ``out=codes`` converts an int64 code array in place.
+    """
+    return np.add(np.arange(codes.shape[1], dtype=np.int64) * n_buckets, codes, out=out)
+
+
+def gather_bounds(
+    query: np.ndarray,
+    lo_t: np.ndarray,
+    up_t: np.ndarray,
+    flat: np.ndarray,
+    lb: np.ndarray | None = None,
+    ub: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One query's ``(lb, ub)`` against rows addressed by :func:`gather_index`.
+
+    ``np.take`` on the flat index is several times faster than the
+    equivalent two-array fancy gather and reads the same elements, so
+    the pairwise row sums stay bit-identical to the decode path.  ``lb``
+    and ``ub`` are optional ``(m,)`` output buffers.
+    """
+    tlb, tub = _contribution_tables(query, lo_t, up_t)
+    lb = np.sum(np.take(tlb.ravel(), flat), axis=-1, out=lb)
+    np.sqrt(lb, out=lb)
+    ub = np.sum(np.take(tub.ravel(), flat), axis=-1, out=ub)
+    np.sqrt(ub, out=ub)
+    return lb, ub
+
+
 class TableGatherKernel(BoundKernel):
     """NumPy table-gather kernel (the always-available fast path)."""
 
@@ -170,24 +206,11 @@ class TableGatherKernel(BoundKernel):
         n_buckets = lo_t.shape[1]
         if codes.size and (codes.min() < 0 or codes.max() >= n_buckets):
             raise IndexError("code out of range")
-        n_queries, m = len(queries), codes.shape[0]
-        # Flat gather indices into the raveled (d, B) tables, built once
-        # per batch: entry (i, j) reads table row j at bucket code_ij.
-        # ``np.take`` on the flat index is several times faster than the
-        # equivalent two-array fancy gather and reads the same elements,
-        # so the pairwise row sums stay bit-identical.
-        flat = (
-            np.arange(codes.shape[1], dtype=np.int64)[None, :] * n_buckets
-            + codes
-        )
-        lb = np.empty((n_queries, m), dtype=np.float64)
-        ub = np.empty((n_queries, m), dtype=np.float64)
+        flat = gather_index(codes, n_buckets)
+        lb = np.empty((len(queries), codes.shape[0]), dtype=np.float64)
+        ub = np.empty_like(lb)
         for i, query in enumerate(queries):
-            tlb, tub = _contribution_tables(query, lo_t, up_t)
-            np.sum(np.take(tlb.ravel(), flat), axis=-1, out=lb[i])
-            np.sqrt(lb[i], out=lb[i])
-            np.sum(np.take(tub.ravel(), flat), axis=-1, out=ub[i])
-            np.sqrt(ub[i], out=ub[i])
+            gather_bounds(query, lo_t, up_t, flat, lb[i], ub[i])
         return lb, ub
 
     @staticmethod

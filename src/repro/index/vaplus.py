@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bounds import kth_smallest
 from repro.core.builders import build_equidepth
 from repro.core.domain import ValueDomain
-from repro.storage.iostats import QueryIOTracker
+from repro.core.encoder import IndividualHistogramEncoder
+from repro.index.vafile import ApproximationScan
 
 
-class VAPlusFileIndex:
+class VAPlusFileIndex(ApproximationScan):
     """VA+-file candidate generator.
 
     Args:
@@ -73,23 +73,14 @@ class VAPlusFileIndex:
         self.bits = self._allocate_bits(self.variances, total_bits)
 
         # 3. Per-dimension equi-depth quantizers in the rotated space.
-        self._histograms = []
-        for j in range(self.dim):
-            domain = ValueDomain.from_column(transformed[:, j])
-            cells = max(1, 2 ** int(self.bits[j]))
-            self._histograms.append(build_equidepth(domain, cells))
-        self.codes = np.empty((self.n_points, self.dim), dtype=np.int64)
-        max_cells = max(h.num_buckets for h in self._histograms)
-        self._lowers = np.zeros((self.dim, max_cells))
-        self._uppers = np.zeros((self.dim, max_cells))
-        for j, hist in enumerate(self._histograms):
-            self.codes[:, j] = hist.lookup(transformed[:, j])
-            b = hist.num_buckets
-            self._lowers[j, :b] = hist.lowers
-            self._uppers[j, :b] = hist.uppers
-            if b < max_cells:
-                self._lowers[j, b:] = hist.lowers[-1]
-                self._uppers[j, b:] = hist.uppers[-1]
+        self.encoder = IndividualHistogramEncoder(
+            [
+                build_equidepth(ValueDomain.from_column(column), 2 ** int(b))
+                for column, b in zip(transformed.T, self.bits)
+            ]
+        )
+        # Unequal cell counts pad the decode tables to the widest dimension.
+        self._set_codes(self.encoder.encode(transformed))
         self.approximation_bytes = int(np.sum(self.bits)) * self.n_points // 8
 
     @staticmethod
@@ -116,49 +107,4 @@ class VAPlusFileIndex:
 
     def bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phase-1 bounds in the rotated space (rotation preserves L2)."""
-        tq = self.transform(query)[0]
-        lo, hi = self._lowers, self._uppers
-        q = tq[:, None]
-        below = np.maximum(lo - q, 0.0)
-        above = np.maximum(q - hi, 0.0)
-        lb2 = (below + above) ** 2
-        far = np.maximum(np.abs(q - lo), np.abs(q - hi))
-        ub2 = far**2
-        dims = np.arange(self.dim)[None, :]
-        lb = np.sqrt(np.sum(lb2[dims, self.codes], axis=1))
-        ub = np.sqrt(np.sum(ub2[dims, self.codes], axis=1))
-        return lb, ub
-
-    def candidates(
-        self,
-        query: np.ndarray,
-        k: int,
-        tracker: QueryIOTracker | None = None,
-        live: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Phase-1 survivors in ascending lower-bound order.
-
-        ``live`` restricts both the filter bound and the survivors to
-        eligible rows (see :meth:`VAFileIndex.candidates`); its bitmap
-        may extend past ``n_points`` when appended rows live in an
-        overlay rather than this index.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if self.approximations_on_disk and tracker is not None:
-            for page in range(self.scan_pages):
-                tracker.needs_read(page)
-        lb, ub = self.bounds(query)
-        if live is not None:
-            alive = np.flatnonzero(
-                np.asarray(live, dtype=bool)[: self.n_points]
-            )
-            if len(alive) == 0:
-                return np.empty(0, dtype=np.int64)
-            delta = kth_smallest(ub[alive], min(k, len(alive)))
-            survivors = alive[lb[alive] <= delta]
-        else:
-            delta = kth_smallest(ub, min(k, self.n_points))
-            survivors = np.flatnonzero(lb <= delta)
-        order = np.argsort(lb[survivors], kind="stable")
-        return survivors[order].astype(np.int64)
+        return self._scan_bounds(self.transform(query)[0])

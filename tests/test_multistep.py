@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bounds import exact_distances
 from repro.core.multistep import multistep_knn
 from repro.storage.pointfile import PointFile
 from tests.conftest import assert_valid_knn
@@ -155,3 +156,17 @@ class TestOptimality:
         fetch, _ = _fetcher(pts)
         res = multistep_knn(q, np.arange(n), lb, k, fetch)
         assert_valid_knn(pts, q, k, res.ids)
+
+
+class TestDistanceBits:
+    @pytest.mark.parametrize("d", [3, 40, 300])
+    def test_distances_bit_identical_to_exact_distances(self, d):
+        # One pairwise-summation regime of np.sum per d (< 8, <= 128, > 128).
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(80, d)) * rng.uniform(0.01, 1e3, size=d)
+        q = rng.normal(size=d) * 50
+        pf = PointFile(pts)
+        res = multistep_knn(q, np.arange(80), np.zeros(80), 80, pf.fetch)
+        assert res.exact_mask.all()
+        want = exact_distances(q, pts[res.ids])
+        assert res.distances.tobytes() == want.tobytes()
