@@ -11,7 +11,8 @@ content-hashed ``.npy`` members (:mod:`repro.artifacts.store`).
 Loading opens every member with ``np.load(mmap_mode="r")``: nothing is
 deserialized or copied, the kernel pages members in on demand, and all
 processes serving the same snapshot share one physical copy of the
-tables through the page cache.  A loaded pipeline is bit-identical to
+tables through the page cache (except the private state named in
+:func:`load_snapshot`).  A loaded pipeline is bit-identical to
 the freshly built one — same ids, same distances, same page reads.
 
 ``save_cache_snapshot``/``load_cache_snapshot`` persist just a cache
@@ -204,8 +205,9 @@ def load_snapshot(
 
     With ``mmap=True`` every member is a read-only memory map: points,
     index tables and HFF cache codes are served straight from the page
-    cache (shared across processes); only LRU caches get private writable
-    copies.  ``metrics``/``resilience`` wire the live observability and
+    cache (shared across processes).  Two kinds of state are private per
+    process: LRU caches get writable copies, and a VA-file turns its
+    ``codes`` member into its scan's ``(n, d)`` int64 gather index.  ``metrics``/``resilience`` wire the live observability and
     fault-handling objects into the served engine.
     """
     path = Path(path)

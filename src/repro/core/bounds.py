@@ -100,8 +100,16 @@ def error_vector_norms(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
 def exact_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Euclidean distances from ``query`` to each row of ``points``."""
     query = np.asarray(query, dtype=np.float64)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return np.sqrt(np.sum((points - query) ** 2, axis=-1))
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim < 2:
+        points = points.reshape(1, -1)
+    # In-place square and the array method keep a one-row call (multistep
+    # refinement makes one per fetched candidate) free of temporaries and
+    # wrapper overhead; the arithmetic is that of (points - query) ** 2
+    # summed pairwise along the row.
+    sq = points - query
+    sq *= sq
+    return np.sqrt(sq.sum(axis=-1))
 
 
 def kth_smallest(values: np.ndarray, k: int) -> float:

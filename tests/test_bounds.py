@@ -73,6 +73,22 @@ class TestExactDistances:
         d = exact_distances(np.zeros(2), np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert d.tolist() == [5.0, 0.0]
 
+    @pytest.mark.parametrize("d", [3, 40, 300])
+    def test_bits_match_reference_formula(self, d):
+        # One pairwise-summation regime of the row sum per d (< 8, <= 128,
+        # > 128), for a batch, one row and a 1-D point.
+        rng = np.random.default_rng(d)
+        pts = rng.normal(size=(20, d)) * rng.uniform(0.01, 1e3, size=d)
+        q = rng.normal(size=d) * 50
+        for p in (pts, pts[3:4], pts[3], pts[:, ::-1].T.T[:, ::-1]):
+            want = np.sqrt(np.sum((np.atleast_2d(p) - q) ** 2, axis=-1))
+            assert exact_distances(q, p).tobytes() == want.tobytes()
+
+    def test_shapes(self):
+        assert exact_distances(np.zeros(3), np.ones(3)).shape == (1,)
+        assert exact_distances(np.zeros(1), np.float64(2.0)).tolist() == [2.0]
+        assert exact_distances(np.zeros(2), np.ones((4, 2))).shape == (4,)
+
 
 class TestErrorVectorNorms:
     def test_zero_width(self):
