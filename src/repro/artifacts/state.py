@@ -493,31 +493,26 @@ def restore_index(meta: dict, arrays: dict, points: np.ndarray):
 
 def _restore_c2lsh(meta: dict, arrays: dict, points: np.ndarray):
     from repro.lsh.c2lsh import C2LSHIndex, C2LSHParams, derive_collision_threshold
-    from repro.lsh.hashes import PStableHashFamily
 
-    index = C2LSHIndex.__new__(C2LSHIndex)
-    index.params = C2LSHParams(**meta["params"])
-    index.n_points = int(meta["n_points"])
-    index.dim = int(meta["dim"])
-    index.page_size = int(meta["page_size"])
-    index.entries_per_page = max(1, index.page_size // C2LSHIndex.ENTRY_BYTES)
-    index.base_radius = float(meta["base_radius"])
-    m, l, p1, p2 = derive_collision_threshold(index.params)
-    index.n_hashes = m
-    index.collision_threshold = l
-    index.p1, index.p2 = p1, p2
-    family = PStableHashFamily.__new__(PStableHashFamily)
-    family.dim = index.dim
-    family.n_hashes = m
-    family.width = index.params.width_factor * index.base_radius
-    family._a = np.asarray(arrays["family_a"])
-    family._b = np.asarray(arrays["family_b"])
-    index.family = family
-    index._points = np.asarray(points, dtype=np.float64) if index.params.use_t2 else None
-    index._sorted_ids = arrays["sorted_ids"]
-    index._sorted_hashes = arrays["sorted_hashes"]
-    index._pages_per_table = -(-index.n_points // index.entries_per_page)
-    return index
+    params = C2LSHParams(**meta["params"])
+    shape = (derive_collision_threshold(params)[0], int(meta["n_points"]))
+    if arrays["sorted_ids"].shape != shape or arrays["sorted_hashes"].shape != shape:
+        raise ArtifactError(
+            f"c2lsh sorted runs do not match the recorded shape {shape}"
+        )
+    if arrays["family_a"].shape != (shape[0], int(meta["dim"])):
+        raise ArtifactError("c2lsh hash family does not match the recorded shape")
+    return C2LSHIndex.from_tables(
+        points,
+        params,
+        seed=int(meta["seed"]),
+        page_size=int(meta["page_size"]),
+        base_radius=float(meta["base_radius"]),
+        family_a=arrays["family_a"],
+        family_b=arrays["family_b"],
+        sorted_ids=arrays["sorted_ids"],
+        sorted_hashes=arrays["sorted_hashes"],
+    )
 
 
 def _restore_vafile(meta: dict, arrays: dict):

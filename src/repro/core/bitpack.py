@@ -45,6 +45,13 @@ class BitPackedMatrix:
             self._offsets.astype(np.int64) + bits - WORD_BITS, 0
         ).astype(np.int64)
         self._mask = np.uint64((1 << bits) - 1)
+        # Spilling fields, the word holding their top bits, and the shift
+        # that lines those bits up above the part in the field's own word.
+        self._spill_fields = np.flatnonzero(self._spill)
+        self._spill_words = self._word_idx[self._spill_fields] + 1
+        self._spill_shifts = (bits - self._spill[self._spill_fields]).astype(
+            np.uint64
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -109,18 +116,21 @@ class BitPackedMatrix:
         return out
 
     def unpack_words(self, words: np.ndarray) -> np.ndarray:
-        """Inverse of ``pack_rows``; returns ``(m, n_fields)`` int64 codes."""
+        """Inverse of ``pack_rows``: C-contiguous ``(m, n_fields)`` int64 codes."""
         words = np.asarray(words, dtype=np.uint64)
         if words.ndim == 1:
             words = words[None, :]
-        out = np.empty((len(words), self.n_fields), dtype=np.int64)
-        for j in range(self.n_fields):
-            v = words[:, self._word_idx[j]] >> self._offsets[j]
-            spill = self._spill[j]
-            if spill > 0:
-                v = v | (words[:, self._word_idx[j] + 1] << np.uint64(self.bits - spill))
-            out[:, j] = (v & self._mask).astype(np.int64)
-        return out
+        # ``take`` along axis 1 allocates C order (``words[:, idx]`` would
+        # not), so the in-place ops and the final view keep that layout.
+        out = words.take(self._word_idx, axis=1)
+        out >>= self._offsets
+        if self._spill_fields.size:
+            out[:, self._spill_fields] |= (
+                words.take(self._spill_words, axis=1) << self._spill_shifts
+            )
+        out &= self._mask
+        # Masked codes are < 2**63, so reinterpreting the bits is exact.
+        return out.view(np.int64)
 
     # ------------------------------------------------------------------
     def set_rows(self, slots: np.ndarray, codes: np.ndarray) -> None:

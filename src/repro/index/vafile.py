@@ -79,8 +79,7 @@ class ApproximationScan:
         if k <= 0:
             raise ValueError("k must be positive")
         if self.approximations_on_disk and tracker is not None:
-            for page in range(self.scan_pages):
-                tracker.needs_read(page)
+            tracker.read_pages(range(self.scan_pages))
         lb, ub = self.bounds(query)
         if live is not None:
             alive = np.flatnonzero(

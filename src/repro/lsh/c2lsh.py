@@ -58,8 +58,10 @@ class C2LSHParams:
     use_t2: bool = False
 
     def __post_init__(self) -> None:
-        if self.c < 2:
-            raise ValueError("approximation ratio c must be >= 2")
+        if self.c < 2 or self.c != int(self.c):
+            # Integer c makes every level's buckets nest, which the
+            # incremental collision count in ``candidates`` relies on.
+            raise ValueError("approximation ratio c must be an integer >= 2")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if self.beta < 0:
@@ -120,6 +122,35 @@ def calibrate_base_radius(
     return med if med > 0 else float(np.mean(nn)) or 1.0
 
 
+def lockstep_searchsorted(sorted_rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.searchsorted(sorted_rows[i], targets[..., i], "left")``.
+
+    All rows of the ``(m, n)`` table are bisected in lock step on its flat
+    view: every row has the same length, so one branch-free halving
+    schedule (``ceil(log2 n)`` vector steps) serves every search at once.
+    ``targets`` has shape ``(..., m)``; the result has the same shape.
+    """
+    m, n = sorted_rows.shape
+    flat = sorted_rows.reshape(-1)
+    row_start = np.arange(m, dtype=np.int64) * n
+    pos = np.broadcast_to(row_start, targets.shape).copy()
+    size = n
+    while size > 1:
+        half = size // 2
+        pos += half * (flat.take(pos + half) < targets)
+        size -= half
+    pos += flat.take(pos) < targets
+    return pos - row_start
+
+
+def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over ``zip(starts, lengths)``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
 class C2LSHIndex:
     """Disk-resident C2LSH index over a point set.
 
@@ -150,33 +181,105 @@ class C2LSHIndex:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or len(points) == 0:
             raise ValueError("points must be a non-empty (n, d) array")
-        self.params = params or C2LSHParams()
-        self.n_points, self.dim = points.shape
-        self.seed = seed
-        self.page_size = page_size
-        self.entries_per_page = max(1, page_size // self.ENTRY_BYTES)
+        params = params or C2LSHParams()
         if base_radius is not None and base_radius <= 0:
             raise ValueError("base_radius must be positive")
-        self.base_radius = (
+        base_radius = (
             float(base_radius)
             if base_radius is not None
             else calibrate_base_radius(points, seed=seed)
         )
-        m, l, p1, p2 = derive_collision_threshold(self.params)
+        family = PStableHashFamily(
+            points.shape[1],
+            derive_collision_threshold(params)[0],
+            width=params.width_factor * base_radius,
+            seed=seed + 1,
+        )
+        hashes = family.hash(points)  # (n, m)
+        order = np.argsort(hashes, axis=0, kind="stable")  # (n, m)
+        self._setup(
+            points,
+            params,
+            seed,
+            page_size,
+            base_radius,
+            family,
+            sorted_ids=order.T.copy(),  # (m, n)
+            sorted_hashes=np.take_along_axis(hashes, order, axis=0).T.copy(),
+        )
+
+    @classmethod
+    def from_tables(
+        cls,
+        points: np.ndarray,
+        params: C2LSHParams,
+        *,
+        seed: int,
+        page_size: int,
+        base_radius: float,
+        family_a: np.ndarray,
+        family_b: np.ndarray,
+        sorted_ids: np.ndarray,
+        sorted_hashes: np.ndarray,
+    ) -> "C2LSHIndex":
+        """An index over already-built sorted runs (a snapshot restore).
+
+        ``family_a``/``family_b`` are the hash family's projections and
+        offsets; nothing is rehashed, so mapped tables stay mapped.
+        """
+        family = PStableHashFamily.from_arrays(
+            family_a, family_b, width=params.width_factor * base_radius
+        )
+        index = cls.__new__(cls)
+        index._setup(
+            points,
+            params,
+            seed,
+            page_size,
+            float(base_radius),
+            family,
+            sorted_ids=sorted_ids,
+            sorted_hashes=sorted_hashes,
+        )
+        return index
+
+    def _setup(
+        self,
+        points: np.ndarray,
+        params: C2LSHParams,
+        seed: int,
+        page_size: int,
+        base_radius: float,
+        family: PStableHashFamily,
+        *,
+        sorted_ids: np.ndarray,
+        sorted_hashes: np.ndarray,
+    ) -> None:
+        m, l, p1, p2 = derive_collision_threshold(params)
+        if (
+            family.n_hashes != m
+            or sorted_ids.ndim != 2
+            or sorted_ids.shape != sorted_hashes.shape
+            or len(sorted_ids) != m
+        ):
+            raise ValueError("sorted runs must be two (m, n) tables, one row per hash")
+        self.params = params
+        self.n_points = sorted_ids.shape[1]
+        self.dim = family.dim
+        self.seed = seed
+        self.page_size = page_size
+        self.entries_per_page = max(1, page_size // self.ENTRY_BYTES)
+        self.base_radius = base_radius
         self.n_hashes = m
         self.collision_threshold = l
         self.p1, self.p2 = p1, p2
-        self.family = PStableHashFamily(
-            self.dim,
-            m,
-            width=self.params.width_factor * self.base_radius,
-            seed=seed + 1,
+        self.family = family
+        self._points = (
+            np.asarray(points, dtype=np.float64) if params.use_t2 else None
         )
-        self._points = points if self.params.use_t2 else None
-        hashes = self.family.hash(points)  # (n, m)
-        order = np.argsort(hashes, axis=0, kind="stable")  # (n, m)
-        self._sorted_ids = order.T.copy()  # (m, n)
-        self._sorted_hashes = np.take_along_axis(hashes, order, axis=0).T.copy()
+        # Contiguous so the lock-step search's flat views never copy.
+        self._sorted_ids = np.ascontiguousarray(sorted_ids)
+        self._sorted_hashes = np.ascontiguousarray(sorted_hashes)
         self._pages_per_table = -(-self.n_points // self.entries_per_page)
 
     # ------------------------------------------------------------------
@@ -218,22 +321,17 @@ class C2LSHIndex:
         """On-disk size of the hash tables."""
         return self.n_hashes * self.n_points * self.ENTRY_BYTES
 
-    def _charge_range(
-        self, table: int, lo: int, hi: int, tracker: QueryIOTracker | None
-    ) -> None:
-        """Charge page reads for a contiguous run of table entries."""
-        if tracker is None or hi <= lo:
-            return
-        first = lo // self.entries_per_page
-        last = (hi - 1) // self.entries_per_page
-        base = table * self._pages_per_table
-        for page in range(first, last + 1):
-            tracker.needs_read(base + page)
-
     def candidates(
         self, query: np.ndarray, k: int, tracker: QueryIOTracker | None = None
     ) -> np.ndarray:
         """Dynamic collision counting with virtual rehashing.
+
+        Every level locates all ``m`` collision intervals with one
+        lock-step search.  With integer ``c`` the level-``cR`` bucket
+        contains the level-``R`` one, so each interval contains the
+        previous level's and only the new ring ``[lo', lo) + [hi, hi')``
+        is counted.  For the same reason the pages read are exactly the
+        final level's intervals, charged once at the end.
 
         Returns candidate ids in descending collision-count order (ties by
         id), the paper's ``C(q)``.
@@ -242,29 +340,30 @@ class C2LSHIndex:
             raise ValueError("k must be positive")
         query = np.asarray(query, dtype=np.float64)
         hq = self.family.hash(query[None, :])[0]  # (m,)
-        target = k + max(1, int(self.params.beta * self.n_points))
-        counts = np.zeros(self.n_points, dtype=np.int32)
+        n, m = self.n_points, self.n_hashes
+        target = k + max(1, int(self.params.beta * n))
+        flat_ids = self._sorted_ids.reshape(-1)
+        row_start = np.arange(m, dtype=np.int64) * n
+        counts = np.zeros(n, dtype=np.int32)
+        lo = hi = None
         radius = 1
         for _ in range(self.params.max_levels):
-            counts[:] = 0
-            whole = 0
-            for i in range(self.n_hashes):
-                bucket = hq[i] // radius
-                lo = int(
-                    np.searchsorted(self._sorted_hashes[i], bucket * radius, "left")
-                )
-                hi = int(
-                    np.searchsorted(
-                        self._sorted_hashes[i], (bucket + 1) * radius, "left"
-                    )
-                )
-                self._charge_range(i, lo, hi, tracker)
-                counts[self._sorted_ids[i, lo:hi]] += 1
-                if hi - lo == self.n_points:
-                    whole += 1
+            start = hq // radius * radius
+            new_lo, new_hi = lockstep_searchsorted(
+                self._sorted_hashes, np.stack([start, start + radius])
+            )
+            if lo is None:
+                lo = hi = new_lo  # an empty previous interval
+            ring = ragged_arange(
+                np.concatenate([row_start + new_lo, row_start + hi]),
+                np.concatenate([lo - new_lo, new_hi - hi]),
+            )
+            counts += np.bincount(flat_ids.take(ring), minlength=n)
+            lo, hi = new_lo, new_hi
             hits = counts >= self.collision_threshold
-            found = int(np.sum(hits))
-            if found >= min(target, self.n_points) or whole == self.n_hashes:
+            found = int(np.count_nonzero(hits))
+            whole = int(np.count_nonzero(hi - lo == n))
+            if found >= min(target, n) or whole == m:
                 break
             if self._points is not None and found >= k:
                 # T2: enough candidates already proven near (dist <= c*R).
@@ -274,11 +373,20 @@ class C2LSHIndex:
                 if int(np.sum(dists <= bound)) >= k:
                     break
             radius *= self.params.c
+        if tracker is not None and lo is not None:
+            first = lo // self.entries_per_page
+            last = (hi - 1) // self.entries_per_page
+            tracker.read_pages(
+                ragged_arange(
+                    np.arange(m, dtype=np.int64) * self._pages_per_table + first,
+                    np.where(hi > lo, last - first + 1, 0),
+                )
+            )
         ids = np.flatnonzero(counts >= self.collision_threshold)
         if ids.size == 0:
             # Degenerate fallback: return the heaviest colliders so the
             # search still has candidates to refine.
-            take = min(target, self.n_points)
+            take = min(target, n)
             ids = np.argpartition(-counts, take - 1)[:take]
         order = np.lexsort((ids, -counts[ids]))
         return ids[order].astype(np.int64)

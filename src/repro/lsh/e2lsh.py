@@ -129,8 +129,7 @@ class E2LSHIndex:
                 continue
             if tracker is not None:
                 n_pages = -(-len(bucket) // self.entries_per_page)
-                for page in range(bases[key], bases[key] + n_pages):
-                    tracker.needs_read(page)
+                tracker.read_pages(range(bases[key], bases[key] + n_pages))
             found.append(bucket)
         if not found:
             return np.empty(0, dtype=np.int64)

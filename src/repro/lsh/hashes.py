@@ -57,6 +57,23 @@ class PStableHashFamily:
         self._a = rng.normal(size=(n_hashes, dim))
         self._b = rng.uniform(0.0, self.width, size=n_hashes)
 
+    @classmethod
+    def from_arrays(
+        cls, a: np.ndarray, b: np.ndarray, width: float
+    ) -> "PStableHashFamily":
+        """A family with the given ``(m, d)`` projections and ``(m,)`` offsets."""
+        if width <= 0:
+            raise ValueError("width must be positive")
+        a, b = np.asarray(a), np.asarray(b)
+        if a.ndim != 2 or b.shape != (len(a),):
+            raise ValueError("expected (m, d) projections and (m,) offsets")
+        family = cls.__new__(cls)
+        family.n_hashes, family.dim = a.shape
+        family.width = float(width)
+        family._a = a
+        family._b = b
+        return family
+
     def project(self, points: np.ndarray) -> np.ndarray:
         """Raw projections ``a . p + b`` of shape ``(n, m)``."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))

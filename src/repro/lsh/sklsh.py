@@ -104,8 +104,7 @@ class SKLSHIndex:
                 base = t * (-(-self.n_points // self.entries_per_page))
                 first = lo // self.entries_per_page
                 last = max(first, (hi - 1) // self.entries_per_page)
-                for page in range(first, last + 1):
-                    tracker.needs_read(base + page)
+                tracker.read_pages(range(base + first, base + last + 1))
             found.append(order[lo:hi])
         if not found:
             return np.empty(0, dtype=np.int64)

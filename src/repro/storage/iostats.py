@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -63,3 +66,17 @@ class QueryIOTracker:
         self.pages_seen.add(page_id)
         self.page_reads += 1
         return True
+
+    def read_pages(self, page_ids: Iterable[int]) -> int:
+        """Record accesses to a run of pages; return how many cost a read.
+
+        Equivalent to calling :meth:`needs_read` on each id in turn:
+        repeated ids and ids seen earlier in the query are free.
+        """
+        if isinstance(page_ids, np.ndarray):
+            page_ids = page_ids.tolist()
+        before = len(self.pages_seen)
+        self.pages_seen.update(page_ids)
+        fresh = len(self.pages_seen) - before
+        self.page_reads += fresh
+        return fresh

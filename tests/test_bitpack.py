@@ -98,3 +98,61 @@ class TestRoundtrip:
         bp.set_rows(np.array([7]), np.zeros((1, 9), dtype=int))
         codes[7] = 0
         assert np.array_equal(bp.get_rows(np.arange(30)), codes)
+
+
+class TestUnpackLayout:
+    """``get_rows``/``unpack_words`` hand kernels C-ordered int64 codes."""
+
+    @pytest.mark.parametrize("bits", range(1, 64))
+    def test_every_width_round_trips_c_contiguous(self, bits):
+        rng = np.random.default_rng(bits)
+        n_fields = 150  # wide enough that most widths spill across words
+        bp = BitPackedMatrix(12, n_fields, bits)
+        top = 2**bits - 1
+        codes = rng.integers(0, top, size=(12, n_fields), endpoint=True)
+        codes[0] = top  # every bit of every field set
+        codes[1] = 0
+        bp.set_rows(np.arange(12), codes)
+        slots = np.array([3, 0, 11, 1, 3])
+        got = bp.get_rows(slots)
+        assert got.dtype == np.int64
+        assert got.shape == (len(slots), n_fields)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, codes[slots])
+        spilling = bp.field_geometry()[2] > 0
+        if spilling.any():
+            assert np.array_equal(got[:, spilling], codes[slots][:, spilling])
+
+    def test_single_row_words_and_empty_selection(self):
+        bp = BitPackedMatrix(3, 13, 11)
+        codes = np.arange(39).reshape(3, 13)
+        bp.set_rows(np.arange(3), codes)
+        one = bp.unpack_words(bp.words[2])
+        assert one.shape == (1, 13) and one.flags.c_contiguous
+        assert np.array_equal(one[0], codes[2])
+        empty = bp.get_rows(np.empty(0, dtype=np.int64))
+        assert empty.shape == (0, 13) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("tau", [5, 7, 8])
+    def test_table_gather_packed_bounds_equal_decode(self, tau):
+        from repro.core.builders import build_equidepth
+        from repro.core.domain import ValueDomain
+        from repro.core.encoder import GlobalHistogramEncoder
+        from repro.core.kernels import DecodeKernel, TableGatherKernel
+
+        rng = np.random.default_rng(tau)
+        dim = 37
+        points = np.rint(rng.uniform(0, 255, size=(90, dim)))
+        enc = GlobalHistogramEncoder(
+            build_equidepth(ValueDomain.from_points(points), 2**tau), dim
+        )
+        assert enc.bits == tau
+        codes = enc.encode(points)
+        store = BitPackedMatrix(len(codes), enc.n_fields, enc.bits)
+        store.set_rows(np.arange(len(codes)), codes)
+        slots = rng.permutation(len(codes))[:50]
+        queries = rng.uniform(-10, 265, size=(5, dim))
+        want = DecodeKernel().bounds(queries, codes[slots], enc)
+        got = TableGatherKernel().packed_bounds(queries, store, slots, enc)
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])

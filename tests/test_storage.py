@@ -35,6 +35,24 @@ class TestQueryIOTracker:
         assert t.needs_read(4)
         assert t.page_reads == 2
 
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [range(3, 9), range(5, 12), range(0, 4)],  # overlapping
+            [range(4, 4), range(0), range(7, 7)],  # empty
+            [range(2, 6), range(2, 6), [5, 5, 5, 2]],  # repeated
+            [np.arange(10, 20), np.array([], dtype=np.int64), range(15, 25)],
+        ],
+    )
+    def test_read_pages_equals_per_page_loop(self, runs):
+        loop, batched = QueryIOTracker(), QueryIOTracker()
+        for run in runs:
+            fresh = sum(loop.needs_read(int(page)) for page in run)
+            assert batched.read_pages(run) == fresh
+            assert batched.page_reads == loop.page_reads
+            assert batched.pages_seen == loop.pages_seen
+        assert all(type(page) is int for page in batched.pages_seen)
+
 
 class TestSimulatedDisk:
     def test_counts_and_time(self):
