@@ -103,10 +103,11 @@ def exact_distances(query: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim < 2:
         points = points.reshape(1, -1)
-    # In-place square and the array method keep a one-row call (multistep
-    # refinement makes one per fetched candidate) free of temporaries and
-    # wrapper overhead; the arithmetic is that of (points - query) ** 2
-    # summed pairwise along the row.
+    # In-place square and the array method keep the call (multistep
+    # refinement makes one per run of fetched candidates) free of
+    # temporaries and wrapper overhead; the arithmetic is that of
+    # (points - query) ** 2 summed pairwise along each row, so a row's
+    # distance is the same whether it comes alone or in a run.
     sq = points - query
     sq *= sq
     return np.sqrt(sq.sum(axis=-1))

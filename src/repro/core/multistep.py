@@ -6,11 +6,14 @@ candidates are fetched from disk in ascending lower-bound order; fetching
 stops as soon as the next lower bound exceeds the k-th best distance known
 so far.  Candidates confirmed by Phase 2 participate through their upper
 bounds (they are guaranteed results and tighten the stopping threshold
-without being fetched).
+without being fetched).  Candidates the rule is bound to read are fetched
+in runs, one fetcher call per run, without changing which are read or in
+what order.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import Callable
@@ -63,7 +66,8 @@ def multistep_knn(
         candidate_ids: remaining candidates (any order).
         lower_bounds: their lower bounds (0 for cache misses).
         k: result size.
-        fetcher: disk access callable (typically ``PointFile.fetch``).
+        fetcher: disk access callable (typically ``PointFile.fetch``); it
+            is handed whole runs of candidate ids, in fetch order.
         confirmed_ids / confirmed_ubs: Phase-2 true results and their upper
             bounds; counted toward ``k`` without fetching.
         tracker: per-query I/O tracker passed through to the fetcher.
@@ -104,18 +108,32 @@ def multistep_knn(
             return float("inf")
         return -best[0][0]
 
+    # The candidates are read in runs.  ``floor``, the k-th smallest of
+    # the heap's estimates and the unfetched lower bounds, never exceeds
+    # any later threshold: each exact distance is at least its own lower
+    # bound.  So every next candidate with ``lb <= floor`` is one the
+    # one-at-a-time rule reads anyway, and the run of them is fetched
+    # with one call; the fetch set and its order stay the same.
+    lbs = sorted_lb.tolist()
+    n = len(lbs)
     fetched: list[int] = []
-    fetched_dist: dict[int, float] = {}
-    for cid, lb in zip(sorted_ids.tolist(), sorted_lb.tolist()):
-        if lb > threshold():
-            break  # optimal stopping: no unfetched candidate can qualify
-        point = fetcher(np.asarray([cid], dtype=np.int64), tracker)
-        dist = float(exact_distances(query, point)[0])
-        fetched.append(cid)
-        fetched_dist[cid] = dist
-        heapq.heappush(best, (-dist, cid, True))
-        if len(best) > k:
-            heapq.heappop(best)
+    start = 0
+    while start < n:
+        estimates = sorted([-neg for neg, _, _ in best] + lbs[start : start + k])
+        floor = estimates[k - 1] if len(estimates) >= k else float("inf")
+        stop = bisect.bisect_right(lbs, floor, start)
+        if stop == start:
+            if lbs[start] > threshold():
+                break  # optimal stopping: no unfetched candidate can qualify
+            stop = start + 1
+        run = sorted_ids[start:stop]
+        dists = exact_distances(query, fetcher(run, tracker))
+        for cid, dist in zip(run.tolist(), dists.tolist()):
+            fetched.append(cid)
+            heapq.heappush(best, (-dist, cid, True))
+            if len(best) > k:
+                heapq.heappop(best)
+        start = stop
 
     results = sorted(((-neg, cid, exact) for neg, cid, exact in best))
     # Confirmed candidates are guaranteed results; they can never be

@@ -411,12 +411,13 @@ class QueryEngine:
     def _protected_fetcher(self, deadline: Deadline | None):
         """The point-fetch callable the refine/eager paths must use.
 
-        Without resilience it is the raw ``PointFile.fetch``.  With it,
-        each point is fetched under breaker gating + bounded retries,
-        with the deadline checked between points — a stalled device
-        cannot overrun the budget by more than one read.  Per-point
-        granularity keeps accounting exact under retries: a failed
-        point's ``point_fetches`` increment happens only on the
+        Without resilience it is the raw ``PointFile.fetch``, which
+        refinement calls once per run of candidates.  With it, the run
+        is split again: each point is fetched under breaker gating +
+        bounded retries, with the deadline checked between points — a
+        stalled device cannot overrun the budget by more than one read.
+        Per-point granularity keeps accounting exact under retries: a
+        failed point's ``point_fetches`` increment happens only on the
         successful attempt, and page charges are deduplicated by the
         query tracker.
         """

@@ -9,8 +9,10 @@ once — the invariant behind the differential (bit-identical) guarantee.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.storage.disk import DiskConfig, SimulatedDisk
+from repro.storage.disk import DiskConfig, SimulatedDisk, read_each
 from repro.storage.iostats import IOStats, QueryIOTracker
 
 
@@ -94,3 +96,16 @@ class FaultyDisk:
                             kind=kind,
                         ).inc(delta)
         self.inner.read_page(page_id, tracker)
+
+    def read_pages(
+        self, page_ids: np.ndarray, tracker: QueryIOTracker | None = None
+    ) -> None:
+        """Charge a run of reads as :meth:`read_page` on each page in turn.
+
+        Every page consults the plan on its own, so a run uses up the
+        fault schedule exactly as single reads would; a failure carries
+        ``pages_done`` (see :func:`~repro.storage.disk.read_each`).
+        """
+        read_each(
+            self.read_page, np.asarray(page_ids, dtype=np.int64).tolist(), tracker
+        )

@@ -339,12 +339,14 @@ class ShardRuntime:
     def _refine_fetcher(self):
         """The fetcher ``refine_batch`` hands to ``multistep_knn``.
 
-        With a resilience policy on the spec, each point fetch runs
-        under the shard engine's breaker + bounded retries, so transient
-        disk faults are masked inside the shard (bit-identical results);
-        exhausted retries or an open breaker propagate out of
-        ``refine_batch`` and the executor reports the shard failed —
-        shard-granular degradation is the coordinator's job.
+        ``multistep_knn`` hands it whole runs of candidates.  With a
+        resilience policy on the spec, the run is fetched point by
+        point, each under the shard engine's breaker + bounded retries,
+        so transient disk faults are masked inside the shard
+        (bit-identical results); exhausted retries or an open breaker
+        propagate out of ``refine_batch`` and the executor reports the
+        shard failed — shard-granular degradation is the coordinator's
+        job.
         """
         runtime = self.engine.resilience
         if runtime is None:

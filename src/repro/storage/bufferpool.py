@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.storage.disk import read_each
 from repro.storage.iostats import QueryIOTracker
 
 
@@ -94,20 +95,12 @@ class BufferedPointFile:
         return self.point_file.points
 
     def fetch(self, point_ids, tracker: QueryIOTracker | None = None):
-        import numpy as np
+        """``PointFile.fetch`` with each page offered to the pool first."""
+        return self.point_file._fetch_through(point_ids, tracker, self._read_pages)
 
-        ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
-        span = self.point_file.pages_per_point
-        for pid in ids.tolist():
-            first = self.point_file.page_of(pid)
-            for offset in range(span):
-                page = first + offset
-                if not self.pool.access(page):
-                    self.point_file.disk.read_page(page, tracker)
-            self.point_file.disk.stats.point_fetches += 1
-            if tracker is not None:
-                tracker.point_fetches += 1
-        return self.point_file.points[ids]
+    def _read_pages(self, pages, tracker: QueryIOTracker | None) -> None:
+        read_each(self._read_page, pages.tolist(), tracker)
 
-    def fetch_one(self, point_id: int, tracker: QueryIOTracker | None = None):
-        return self.fetch([point_id], tracker)[0]
+    def _read_page(self, page: int, tracker: QueryIOTracker | None) -> None:
+        if not self.pool.access(page):
+            self.point_file.disk.read_page(page, tracker)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.storage.iostats import IOStats, QueryIOTracker
 
@@ -73,6 +76,26 @@ class DiskConfig:
             raise ValueError("latencies must be non-negative")
 
 
+def read_each(
+    read_page: Callable[[int, QueryIOTracker | None], None],
+    page_ids: Iterable[int],
+    tracker: QueryIOTracker | None,
+) -> None:
+    """Call ``read_page`` on each page of a run in turn.
+
+    A failed read propagates with ``pages_done`` set on the exception:
+    the number of leading pages of the run that were handled before it,
+    so a caller can settle its per-record accounting exactly as a loop
+    of single reads would have left it.
+    """
+    for done, page in enumerate(page_ids):
+        try:
+            read_page(page, tracker)
+        except Exception as exc:
+            exc.pages_done = done
+            raise
+
+
 class SimulatedDisk:
     """Counts page reads; data itself lives in memory.
 
@@ -137,6 +160,31 @@ class SimulatedDisk:
         self.stats.page_reads += 1
         if self.config.blocking and self.config.read_latency_s > 0:
             time.sleep(self.config.read_latency_s)
+
+    def read_pages(
+        self, page_ids: np.ndarray, tracker: QueryIOTracker | None = None
+    ) -> None:
+        """Charge a run of page reads, exactly as :meth:`read_page` on each.
+
+        The run is charged in order and deduplicated within ``tracker``
+        (through :meth:`QueryIOTracker.read_pages`); without a tracker
+        every page costs a read.  Chaos attempts, blocking sleeps and an
+        out-of-range page take the per-page path, so each page keeps its
+        own attempt, its own sleep, and the pages before a bad one stay
+        charged (see :func:`read_each` for the failure contract).
+        """
+        pages = np.asarray(page_ids, dtype=np.int64).tolist()
+        n = self.n_pages
+        if (
+            self._chaos is not None
+            or self.config.blocking
+            or (pages and (min(pages) < 0 or (n is not None and max(pages) >= n)))
+        ):
+            read_each(self.read_page, pages, tracker)
+        elif tracker is None:
+            self.stats.page_reads += len(pages)
+        else:
+            self.stats.page_reads += tracker.read_pages(pages)
 
     def modeled_time(self, page_reads: int | None = None) -> float:
         """Wall-clock seconds modeled for ``page_reads`` (default: all so far)."""

@@ -171,35 +171,41 @@ class PointFile:
         """Read records by identifier, charging page I/O.
 
         Returns the ``(len(point_ids), d)`` array of points in request
-        order.  Every id is checked before any page is charged.  The
-        checks are scalar compares and the page rule is evaluated once
-        per call: refinement fetches one candidate per call, where array
-        reductions and property lookups would cost more than the reads.
+        order.  Every id is checked before any page is charged; the pages
+        of the whole run are then charged with one ``read_pages`` call.
+        Refinement fetches a run of candidates per call, and the reads it
+        is charged equal those of fetching the ids one by one.
+        """
+        return self._fetch_through(point_ids, tracker, self.disk.read_pages)
+
+    def _fetch_through(self, point_ids, tracker, read_pages) -> np.ndarray:
+        """:meth:`fetch`, with the run's pages charged by ``read_pages``.
+
+        A record spanning several pages contributes them consecutively.
+        A failed read leaves ``point_fetches`` counting the records whose
+        pages were all handled before it, as a per-id loop would.
         """
         ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
-        pids = ids.tolist()
-        n = len(self.points)
-        for pid in pids:
-            if pid < 0 or pid >= n:
-                raise IndexError("point id out of range")
-        live = self._live
-        for pid in pids:
-            if not live[pid]:
-                raise IndexError("point id tombstoned")
+        # Builtins over the id list and a count over the live flags: on
+        # the short runs refinement reads, ndarray reductions cost more.
+        listed = ids.tolist()
+        if listed and (min(listed) < 0 or max(listed) >= len(self.points)):
+            raise IndexError("point id out of range")
+        if np.count_nonzero(self._live.take(ids)) != len(listed):
+            raise IndexError("point id tombstoned")
         per_page, span = self._page_rule()
-        position_of = self._position_of
-        disk = self.disk
-        for pid in pids:
-            first = int(position_of[pid]) // per_page * span
-            for page in range(first, first + span):
-                disk.read_page(page, tracker)
-            disk.stats.point_fetches += 1
-            if tracker is not None:
-                tracker.point_fetches += 1
+        pages = self._position_of.take(ids) // per_page
+        if span > 1:
+            pages = (pages[:, None] * span + np.arange(span)).ravel()
+        try:
+            read_pages(pages, tracker)
+        except Exception as exc:
+            self._count_fetches(getattr(exc, "pages_done", 0) // span, tracker)
+            raise
+        self._count_fetches(len(listed), tracker)
         return self.points.take(ids, axis=0)
 
-    def fetch_one(
-        self, point_id: int, tracker: QueryIOTracker | None = None
-    ) -> np.ndarray:
-        """Read one record; returns a ``(d,)`` vector."""
-        return self.fetch(np.asarray([point_id]), tracker)[0]
+    def _count_fetches(self, count: int, tracker: QueryIOTracker | None) -> None:
+        self.disk.stats.point_fetches += count
+        if tracker is not None:
+            tracker.point_fetches += count

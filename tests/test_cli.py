@@ -114,6 +114,9 @@ class TestServeCommand:
         rc = main([
             "serve", "--dataset", "tiny", "--scale", "0.25", "--k", "5",
             "--requests", "24", "--max-batch", "8", "--rate", "0",
+            # A batch flushes only when full: with the default 2 ms wait,
+            # a descheduled submitter lets a partial batch go out.
+            "--max-wait-us", "1000000",
             "--metrics", "--metrics-out", str(out_path),
         ])
         assert rc == 0
