@@ -14,8 +14,6 @@ Layers:
 * :mod:`repro.artifacts.churn` — versioned per-shard mutation deltas,
   published through the same publish-then-swap protocol and merged back
   at snapshot rebuild.
-* :mod:`repro.artifacts.legacy` — the single-file ``.npz`` format for
-  datasets, histograms and encoders.
 """
 
 from repro.artifacts.churn import (
@@ -27,7 +25,6 @@ from repro.artifacts.churn import (
 from repro.artifacts.errors import ArtifactError, FormatVersionError
 from repro.artifacts.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
-    ServingContext,
     inspect_snapshot,
     load_cache_snapshot,
     load_queries,
@@ -55,7 +52,6 @@ __all__ = [
     "publish_churn_delta",
     "ObjectStore",
     "SNAPSHOT_FORMAT_VERSION",
-    "ServingContext",
     "inspect_snapshot",
     "load_cache_snapshot",
     "load_queries",

@@ -23,7 +23,6 @@ hot swap under live traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,27 +42,6 @@ from repro.artifacts.store import (
 
 #: Manifest schema version; bump on any incompatible layout change.
 SNAPSHOT_FORMAT_VERSION = 1
-
-
-@dataclass
-class ServingContext:
-    """The slice of ``WorkloadContext`` a serving process needs.
-
-    Snapshot-loaded pipelines have no workload derivations (candidate
-    sets, frequencies, QR multiset) — those were consumed at build time —
-    so this lightweight stand-in carries only what query execution
-    touches: the index, the point file and the default ``k``.
-    """
-
-    index: object
-    point_file: object
-    k: int
-    seed: int = 0
-    dataset: object = None
-
-
-def _spec_of(pipeline) -> object | None:
-    return getattr(pipeline, "spec", None)
 
 
 def _disk_manifest(config) -> dict:
@@ -86,69 +64,49 @@ def save_snapshot(
 ) -> Path:
     """Persist a built pipeline as a self-contained snapshot directory.
 
-    Works for both ``CachingPipeline`` (candidate-path indexes) and
-    ``TreePipeline``.  ``queries`` (default: the dataset's held-out test
-    queries, when the pipeline still carries its dataset) are stored
-    alongside so differential verification needs nothing external.  The
-    manifest is written last, so a directory with a manifest is always a
-    complete snapshot.
+    Works for both index families and writes the cache that is serving
+    when it is called.  ``queries`` (default: the held-out test queries
+    of the dataset the pipeline was trained on, when it carries its
+    workload context) are stored alongside so differential verification
+    needs nothing external.  The manifest is written last, so a
+    directory with a manifest is always a complete snapshot.
     """
     path = Path(path)
     store = ObjectStore(path)
-    spec = _spec_of(pipeline)
-    spec_dict = spec.to_dict() if spec is not None else None
-    index_name = spec.index.name if spec is not None else None
-    index_params = dict(spec.index.params) if spec is not None else None
-    seed = spec.seed if spec is not None else 0
-
-    if hasattr(pipeline, "context"):  # CachingPipeline
-        ctx = pipeline.context
-        point_file = ctx.point_file
+    spec = pipeline.spec
+    index = pipeline.index
+    points = np.ascontiguousarray(pipeline.points, dtype=np.float64)
+    point_file = pipeline.point_file
+    if point_file is not None:
         value_bytes = point_file.value_bytes
-        kind = "point"
-        k = int(ctx.k)
-        tau = pipeline.tau
-        disk = _disk_manifest(point_file.disk.config)
-        points = np.ascontiguousarray(point_file.points, dtype=np.float64)
         order = point_file._order
-        index = ctx.index
-        cache = pipeline.cache
-        if queries is None and getattr(ctx.dataset, "query_log", None) is not None:
-            queries = ctx.dataset.query_log.test
-    else:  # TreePipeline
-        kind = "tree"
-        k = int(spec.k) if spec is not None else 10
-        tau = spec.cache.tau if spec is not None else None
-        index = pipeline.index
+    else:
         value_bytes = int(getattr(index, "value_bytes", 4))
-        disk = {
-            "page_size": int(getattr(index, "page_size", 4096)),
-            "read_latency_s": float(pipeline.read_latency_s),
-            "seq_read_latency_s": float(pipeline.read_latency_s),
-            "blocking": False,
-        }
-        points = np.ascontiguousarray(index.points, dtype=np.float64)
         order = np.arange(len(points), dtype=np.int64)
-        cache = pipeline.cache
+    context = pipeline.context
+    if queries is None and context is not None:
+        if context.dataset.query_log is not None:
+            queries = context.dataset.query_log.test
+    kind = "tree" if pipeline.engine.is_tree else "point"
 
     idx_meta, idx_arrays = index_state(
         index,
-        name=index_name,
-        params=index_params,
-        seed=seed,
+        name=spec.index.name if spec is not None else None,
+        params=dict(spec.index.params) if spec is not None else None,
+        seed=spec.seed if spec is not None else 0,
         value_bytes=value_bytes,
     )
-    cache_meta, cache_arrays = cache_state(cache)
+    cache_meta, cache_arrays = cache_state(pipeline.cache)
 
     manifest = {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "kind": kind,
         "method": pipeline.method,
-        "tau": None if tau is None else int(tau),
-        "k": k,
+        "tau": None if pipeline.tau is None else int(pipeline.tau),
+        "k": int(pipeline.k),
         "value_bytes": int(value_bytes),
-        "spec": spec_dict,
-        "disk": disk,
+        "spec": spec.to_dict() if spec is not None else None,
+        "disk": _disk_manifest(pipeline.disk_config),
         "points": {
             "member": store.put_array(points),
             "order": store.put_array(np.asarray(order, dtype=np.int64)),
@@ -235,42 +193,32 @@ def load_snapshot(
             "snapshot_load_total", "snapshots opened", kind=manifest["kind"]
         ).inc()
 
-    if manifest["kind"] == "tree":
-        from repro.eval.methods import TreePipeline
-
-        return TreePipeline(
-            index=index,
-            cache=cache,
-            method=manifest["method"],
-            read_latency_s=manifest["disk"]["read_latency_s"],
-            metrics=metrics,
-            spec=spec,
-        )
-
     from repro.engine.engine import QueryEngine
-    from repro.eval.methods import CachingPipeline
-    from repro.storage.disk import DiskConfig, SimulatedDisk
-    from repro.storage.pointfile import PointFile
+    from repro.eval.methods import Pipeline
 
-    disk = SimulatedDisk(DiskConfig(**manifest["disk"]))
-    point_file = PointFile(
-        points,
-        disk=disk,
-        order=store.load(manifest["points"]["order"], mmap=mmap),
-        value_bytes=int(manifest["value_bytes"]),
-    )
-    engine = QueryEngine.for_index(
-        index, point_file, cache, metrics=metrics, resilience=resilience
-    )
-    context = ServingContext(
-        index=index, point_file=point_file, k=int(manifest["k"])
-    )
-    return CachingPipeline(
-        context=context,
-        cache=cache,
+    point_file = None
+    if manifest["kind"] == "tree":
+        engine = QueryEngine.for_tree(index, cache, metrics=metrics)
+    else:
+        from repro.storage.disk import DiskConfig, SimulatedDisk
+        from repro.storage.pointfile import PointFile
+
+        point_file = PointFile(
+            points,
+            disk=SimulatedDisk(DiskConfig(**manifest["disk"])),
+            order=store.load(manifest["points"]["order"], mmap=mmap),
+            value_bytes=int(manifest["value_bytes"]),
+        )
+        engine = QueryEngine.for_index(
+            index, point_file, cache, metrics=metrics, resilience=resilience
+        )
+    return Pipeline(
+        engine=engine,
+        index=index,
+        point_file=point_file,
         method=manifest["method"],
         tau=manifest["tau"],
-        engine=engine,
+        k=int(manifest["k"]),
         spec=spec,
     )
 
@@ -340,16 +288,16 @@ def verify_snapshot(
             f"snapshot {path} embeds no spec; differential verification "
             "needs one to rebuild from"
         )
-    from repro.spec.build import build_pipeline
+    from repro.spec.build import build_pipeline, resolve_dataset
     from repro.spec.sections import PipelineSpec
 
     served = load_snapshot(path)
     spec = PipelineSpec.from_dict(manifest["spec"])
-    fresh = build_pipeline(spec)
+    dataset = resolve_dataset(spec.dataset)
+    fresh = build_pipeline(spec, dataset=dataset)
     queries = load_queries(path)
     if queries is None:
-        dataset = _fresh_dataset(fresh, spec)
-        if dataset is None or dataset.query_log is None:
+        if dataset.query_log is None:
             raise ArtifactError("snapshot stores no queries to verify with")
         queries = dataset.query_log.test
     if limit is not None:
@@ -374,15 +322,6 @@ def verify_snapshot(
         "method": manifest["method"],
         "format_version": manifest["format_version"],
     }
-
-
-def _fresh_dataset(fresh, spec):
-    ctx = getattr(fresh, "context", None)
-    if ctx is not None and getattr(ctx, "dataset", None) is not None:
-        return ctx.dataset
-    from repro.spec.build import resolve_dataset
-
-    return resolve_dataset(spec.dataset)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.eval.reporting import format_table
 from repro.eval.runner import Experiment
 from repro.obs.registry import MetricsRegistry
 from repro.obs.reporter import MetricsReporter
+from repro.spec.build import build_pipeline, build_resilience, spec_from_kwargs
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -94,27 +95,30 @@ def _resolve_cache(args, dataset) -> int:
     return int(dataset.file_bytes * 0.3)
 
 
-def _fault_config(args):
-    """``(FaultSpec | None, ResiliencePolicy | None)`` from the flags.
+def _spec_from_args(args, dataset):
+    """The ``PipelineSpec`` of the common build flags over ``dataset``."""
+    return spec_from_kwargs(
+        dataset=dataset, method=args.method, tau=args.tau,
+        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
+        k=args.k, seed=args.seed, kernel=args.kernel,
+    )
 
-    A policy is built whenever any fault/deadline/degraded flag is set;
+
+def _resilience_section(args):
+    """The spec's resilience section from the fault/deadline flags.
+
+    Enabled whenever any fault/deadline/degraded flag is set;
     ``--faults`` and ``--deadline-ms`` imply degraded answers (otherwise
     an unmasked fault would abort the whole run).
     """
-    faults = getattr(args, "faults", None)
-    deadline_ms = getattr(args, "deadline_ms", 0.0)
-    degraded = getattr(args, "degraded", False)
-    if faults is None and deadline_ms <= 0 and not degraded:
-        return None, None
-    from repro.faults import ResiliencePolicy, RetryPolicy, parse_fault_spec
+    from repro.spec.sections import ResilienceSection
 
-    spec = parse_fault_spec(faults) if faults else None
-    policy = ResiliencePolicy(
-        retry=RetryPolicy(max_retries=max(0, args.retries)),
-        deadline_s=deadline_ms / 1e3 if deadline_ms > 0 else None,
-        degraded=True,
+    if args.faults is None and args.deadline_ms <= 0 and not args.degraded:
+        return ResilienceSection()
+    return ResilienceSection(
+        enabled=True, max_retries=max(0, args.retries),
+        deadline_ms=args.deadline_ms, degraded=True, faults=args.faults,
     )
-    return spec, policy
 
 
 def _metrics_registry(args) -> MetricsRegistry | None:
@@ -177,7 +181,7 @@ def _run_sharded_experiment(args, dataset, context) -> int:
     from repro.storage.disk import DiskConfig
 
     want_metrics = args.metrics or args.metrics_out
-    fault_spec, policy = _fault_config(args)
+    fault_spec, policy = build_resilience(_resilience_section(args))
     try:
         specs = specs_from_method(
             dataset, context, method=args.method, tau=args.tau,
@@ -231,17 +235,11 @@ def _run_adaptive_experiment(args, dataset, context) -> int:
     import dataclasses
 
     from repro.eval.runner import summarize
-    from repro.spec.build import build_pipeline, spec_from_kwargs
     from repro.spec.sections import AdaptSection
 
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
     spec = dataclasses.replace(
-        spec,
+        _spec_from_args(args, dataset),
         adapt=AdaptSection(
             enabled=True, every=args.adapt_every, model=args.adapt_model
         ),
@@ -285,7 +283,7 @@ def cmd_experiment(args) -> int:
     if args.adapt:
         return _run_adaptive_experiment(args, dataset, context)
     registry = _metrics_registry(args)
-    fault_spec, policy = _fault_config(args)
+    fault_spec, policy = build_resilience(_resilience_section(args))
     result = Experiment(
         dataset, method=args.method, k=args.k, tau=args.tau,
         cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
@@ -311,7 +309,7 @@ def cmd_compare(args) -> int:
     )
     cache_bytes = _resolve_cache(args, dataset)
     want_metrics = args.metrics or args.metrics_out
-    fault_spec, policy = _fault_config(args)
+    fault_spec, policy = build_resilience(_resilience_section(args))
     results = []
     registries: dict[str, MetricsRegistry] = {}
     for method in args.methods:
@@ -379,21 +377,11 @@ def cmd_serve(args) -> int:
     import numpy as np
 
     from repro.serve import run_open_loop, server_from_spec
-    from repro.spec.build import spec_from_kwargs
-    from repro.spec.sections import (
-        ReplicaSection,
-        ResilienceSection,
-        ServeSection,
-        ShardSection,
-    )
+    from repro.spec.sections import ReplicaSection, ServeSection, ShardSection
 
     dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
+    spec = _spec_from_args(args, dataset)
     sections: dict = {
         "serve": ServeSection(
             enabled=True,
@@ -417,13 +405,11 @@ def cmd_serve(args) -> int:
             stall_budget_ms=args.stall_budget_ms,
             hedge_delay_ms=args.hedge_delay_ms,
         )
-    if args.faults or args.deadline_ms > 0 or args.degraded:
-        # Degraded answers (not hard failures) when budgets/faults bite;
-        # the per-request deadlines themselves come from the serve tier.
-        sections["resilience"] = ResilienceSection(
-            enabled=True, max_retries=max(0, args.retries),
-            degraded=True, faults=args.faults,
-        )
+    # Degraded answers (not hard failures) when budgets/faults bite; the
+    # per-request deadlines themselves come from the serve tier.
+    sections["resilience"] = dataclasses.replace(
+        _resilience_section(args), deadline_ms=0.0
+    )
     spec = dataclasses.replace(spec, **sections)
     context = None
     if args.shards == 0:
@@ -602,18 +588,13 @@ def cmd_mutate(args) -> int:
     from repro.eval.runner import summarize
     from repro.mutate import MutablePipeline, parse_predicate, reference_twin
     from repro.mutate.pipeline import MutationCounters
-    from repro.spec.build import build_pipeline, spec_from_kwargs
 
     dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
     context = WorkloadContext.prepare(
         dataset, index_name=args.index, k=args.k, seed=args.seed
     )
     registry = _metrics_registry(args)
-    spec = spec_from_kwargs(
-        dataset=dataset, method=args.method, tau=args.tau,
-        cache_bytes=_resolve_cache(args, dataset), index_name=args.index,
-        k=args.k, seed=args.seed, kernel=args.kernel,
-    )
+    spec = _spec_from_args(args, dataset)
     try:
         inner = build_pipeline(
             spec, dataset=dataset, context=context, metrics=registry
@@ -691,47 +672,13 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _build_spec(args):
-    """A ``PipelineSpec`` recording exactly how the snapshot was built.
-
-    The spec names the dataset (registry name + scale + seed) rather
-    than embedding it, so ``snapshot verify`` can re-materialize the
-    identical dataset and rebuild the pipeline through the single
-    build path.
-    """
-    from repro.spec.sections import (
-        CacheSection,
-        DatasetSection,
-        IndexSection,
-        PipelineSpec,
-    )
-
-    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
-    spec = PipelineSpec(
-        dataset=DatasetSection(
-            name=args.dataset, seed=args.seed, scale=args.scale
-        ),
-        index=IndexSection(name=args.index),
-        cache=CacheSection(
-            method=args.method,
-            tau=args.tau,
-            cache_bytes=_resolve_cache(args, dataset),
-            kernel=getattr(args, "kernel", "auto"),
-        ),
-        k=args.k,
-        seed=args.seed,
-    )
-    return spec, dataset
-
-
 def cmd_snapshot_build(args) -> int:
     """Build a pipeline from the flags and persist it as a snapshot."""
     from repro.artifacts.snapshot import inspect_snapshot, save_snapshot
-    from repro.spec.build import build_pipeline
 
     registry = _metrics_registry(args)
-    spec, dataset = _build_spec(args)
-    pipeline = build_pipeline(spec, dataset=dataset)
+    dataset = load_dataset(args.dataset, seed=args.seed, scale=args.scale)
+    pipeline = build_pipeline(_spec_from_args(args, dataset), dataset=dataset)
     queries = (
         dataset.query_log.test if dataset.query_log is not None else None
     )
@@ -775,10 +722,8 @@ def cmd_snapshot_serve(args) -> int:
     exactly as in the long-lived ``repro serve`` front end.
     """
     from repro.artifacts.snapshot import load_queries, load_snapshot
-    from repro.artifacts.store import read_manifest
     from repro.eval.runner import summarize
     from repro.serve import ServeConfig, Server, SlaTier
-    from repro.storage.disk import DiskConfig
 
     registry = _metrics_registry(args)
     pipeline = load_snapshot(args.path, mmap=not args.no_mmap,
@@ -789,12 +734,11 @@ def cmd_snapshot_serve(args) -> int:
         return 2
     if args.limit:
         queries = queries[: args.limit]
-    manifest = read_manifest(args.path)
-    k = args.k or int(manifest["k"])
-    spec = getattr(pipeline, "spec", None)
+    k = args.k or pipeline.k
+    spec = pipeline.spec
     controller = None
     if args.adapt_every > 0:
-        controller = _serve_controller(args, pipeline, manifest, spec, registry)
+        controller = _serve_controller(args, pipeline, registry)
         if controller is None:
             return 2
     tiers = (
@@ -816,18 +760,14 @@ def cmd_snapshot_serve(args) -> int:
             stats.append(response.result.stats)
             if response.degraded:
                 degraded += 1
-    disk = manifest.get("disk") or {}
-    defaults = DiskConfig()
     result = summarize(
         stats,
-        method=manifest["method"],
-        tau=int(manifest["tau"] or 0),
+        method=pipeline.method,
+        tau=int(pipeline.tau or 0),
         cache_bytes=spec.cache.cache_bytes if spec is not None else 0,
         k=k,
-        read_latency_s=disk.get("read_latency_s", defaults.read_latency_s),
-        seq_read_latency_s=disk.get(
-            "seq_read_latency_s", defaults.seq_read_latency_s
-        ),
+        read_latency_s=pipeline.read_latency_s,
+        seq_read_latency_s=pipeline.seq_read_latency_s,
     )
     print(format_table(_RESULT_HEADERS, _result_rows([result]),
                        title=f"served from {args.path}"))
@@ -848,36 +788,40 @@ def cmd_snapshot_serve(args) -> int:
     return 0
 
 
-def _serve_controller(args, pipeline, manifest, spec, registry):
+def _serve_controller(args, pipeline, registry):
     """The ``DriftController`` behind ``snapshot serve --adapt-every``.
 
     Retrained caches publish as versioned ``snap-NNNNNN`` artifacts
     under ``<snapshot>/maintenance`` and hot-swap into the serving
-    engine through the CURRENT-pointer protocol.
+    engine through the CURRENT-pointer protocol.  Returns None (after
+    printing why) when the snapshot cannot adapt.
     """
     from repro.workload.drift import DriftController, EveryNQueries
     from repro.workload.model import WindowWorkload
     from repro.workload.train import _GLOBAL_BUILDERS, TrainSpec
 
-    method = manifest["method"]
+    method = pipeline.method
     if method not in _GLOBAL_BUILDERS:
         print(f"error: --adapt-every supports the global HC methods "
               f"{sorted(_GLOBAL_BUILDERS)}, not {method!r}", file=sys.stderr)
         return None
-    context = pipeline.context
+    if pipeline.engine.is_tree:
+        print("error: --adapt-every hot-swaps point caches; tree indexes "
+              "keep their leaf cache inside the engine", file=sys.stderr)
+        return None
     cache_bytes = (
-        spec.cache.cache_bytes
-        if spec is not None
+        pipeline.spec.cache.cache_bytes
+        if pipeline.spec is not None
         else int(getattr(pipeline.cache, "capacity_bytes", 0)) or 1 << 20
     )
     return DriftController(
         WindowWorkload(capacity=max(4 * args.adapt_every, 256)),
         TrainSpec(
-            points=context.point_file.points,
-            index=context.index,
-            k=args.k or int(manifest["k"]),
+            points=pipeline.points,
+            index=pipeline.index,
+            k=args.k or pipeline.k,
             method=method,
-            tau=int(manifest["tau"] or 8),
+            tau=int(pipeline.tau or 8),
             cache_bytes=cache_bytes,
         ),
         engine=pipeline.engine,

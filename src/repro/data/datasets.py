@@ -36,6 +36,9 @@ class Dataset:
         points: ``(n, d)`` float64 array of grid-valued coordinates.
         value_bits: ``Lvalue`` — bits of the discretized value domain.
         query_log: workload/test query split (None until attached).
+        seed, scale: the ``load_dataset`` arguments that regenerate this
+            dataset under ``name`` (``seed`` is None when it does not
+            come from the registry).
     """
 
     name: str
@@ -43,6 +46,8 @@ class Dataset:
     value_bits: int = 12
     query_log: QueryLog | None = None
     value_bytes: int = 4
+    seed: int | None = None
+    scale: float = 1.0
     _domain_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -166,5 +171,10 @@ def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> Dataset:
         seed=seed + 1,
     )
     return Dataset(
-        name=name, points=points, value_bits=cfg.value_bits, query_log=log
+        name=name,
+        points=points,
+        value_bits=cfg.value_bits,
+        query_log=log,
+        seed=seed,
+        scale=scale,
     )

@@ -2,7 +2,7 @@
 
 from repro.eval.methods import (
     METHOD_NAMES,
-    CachingPipeline,
+    Pipeline,
     WorkloadContext,
     build_caching_pipeline,
 )
@@ -10,10 +10,10 @@ from repro.eval.reporting import format_table, write_csv
 from repro.eval.runner import Experiment, ExperimentResult, measure_m1
 
 __all__ = [
-    "CachingPipeline",
     "Experiment",
     "ExperimentResult",
     "METHOD_NAMES",
+    "Pipeline",
     "WorkloadContext",
     "build_caching_pipeline",
     "format_table",

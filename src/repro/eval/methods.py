@@ -263,43 +263,74 @@ class WorkloadContext:
 
 
 @dataclass
-class CachingPipeline:
-    """A ready-to-query configuration: index + cache + data file.
+class Pipeline:
+    """A ready-to-query configuration of either index family.
 
-    ``search`` answers queries through Algorithm 1 (the ``engine``) and
-    records per-query statistics; results are identical to the uncached
-    index's answers.  ``search_many`` routes a query batch through the
-    engine's batched hot path (one cache probe for the union of
-    candidates).
+    Built by :func:`repro.spec.build.build_pipeline` and reopened by
+    :func:`repro.artifacts.snapshot.load_snapshot`; nothing else
+    constructs one.  Candidate-path indexes answer through Algorithm 1
+    over ``point_file`` with a point cache; tree indexes (Section 3.6.1)
+    answer through the engine's leaf source with a leaf cache and have
+    no point file.  Either way ``search`` returns the unified
+    ``SearchResult``, identical to the uncached index's answers, and
+    ``search_many`` routes a batch through the engine's batched path.
     """
 
-    context: WorkloadContext
-    cache: PointCache
+    engine: QueryEngine
+    index: object
+    #: The data file refinement reads (None for tree indexes, whose
+    #: leaves hold the points).
+    point_file: PointFile | None
     method: str
     tau: int | None
-    engine: QueryEngine
-    #: The ``PipelineSpec`` this pipeline was built from (None for
-    #: hand-assembled pipelines); embedded in snapshot manifests.
+    #: Default result size: the ``k`` the cache was trained for.
+    k: int
+    #: The ``PipelineSpec`` this pipeline was built from (None when
+    #: restored from a snapshot that embeds none); embedded in
+    #: snapshot manifests.
     spec: object | None = None
     #: The ``repro.workload.DriftController`` driving online adaptation
     #: (None unless the spec's adapt section is enabled).
     drift_controller: object | None = None
+    #: The ``WorkloadContext`` the caches were trained from (None when
+    #: restored from a snapshot, or for tree caches that need none).
+    context: WorkloadContext | None = None
+
+    @property
+    def cache(self) -> PointCache | LeafNodeCache | None:
+        """The cache actually serving (it may have been hot-swapped)."""
+        if self.engine.is_tree:
+            return self.engine.source.leaf_cache
+        return self.engine.cache
+
+    @property
+    def points(self) -> np.ndarray:
+        """The stored points; row ``i`` is the point with id ``i``."""
+        holder = self.point_file if self.point_file is not None else self.index
+        return holder.points
+
+    @property
+    def disk_config(self) -> DiskConfig:
+        """The device model behind the modeled read latencies."""
+        if self.point_file is None:
+            return DiskConfig()
+        return self.point_file.disk.config
+
+    @property
+    def read_latency_s(self) -> float:
+        return self.disk_config.read_latency_s
+
+    @property
+    def seq_read_latency_s(self) -> float:
+        return self.disk_config.seq_read_latency_s
 
     def search(self, query: np.ndarray, k: int | None = None) -> SearchResult:
-        return self.engine.search(query, k or self.context.k)
+        return self.engine.search(query, k or self.k)
 
     def search_many(
         self, queries: np.ndarray, k: int | None = None
     ) -> list[SearchResult]:
-        return self.engine.search_many(queries, k or self.context.k)
-
-    @property
-    def read_latency_s(self) -> float:
-        return self.context.point_file.disk.config.read_latency_s
-
-    @property
-    def seq_read_latency_s(self) -> float:
-        return self.context.point_file.disk.config.seq_read_latency_s
+        return self.engine.search_many(queries, k or self.k)
 
 
 def build_caching_pipeline(
@@ -315,14 +346,14 @@ def build_caching_pipeline(
     context: WorkloadContext | None = None,
     metrics=None,
     resilience=None,
-) -> CachingPipeline | TreePipeline:
+) -> Pipeline:
     """One-call assembly of a complete cached-search configuration.
 
-    Candidate-set indexes yield a ``CachingPipeline``; tree index names
-    (``idistance``, ``vptree``, ...) yield a ``TreePipeline`` with the
-    Section-3.6.1 leaf cache.  Thin adapter: folds the keyword arguments
-    into a declarative :class:`~repro.spec.PipelineSpec` and delegates to
-    the single build path (:func:`repro.spec.build.build_pipeline`).
+    Tree index names (``idistance``, ``vptree``, ...) get the
+    Section-3.6.1 leaf cache, every other index a point cache.  Thin
+    adapter: folds the keyword arguments into a declarative
+    :class:`~repro.spec.PipelineSpec` and delegates to the single build
+    path (:func:`repro.spec.build.build_pipeline`).
     Pass a pre-built ``context`` to reuse the index and workload scans
     across methods (recommended in benchmarks).  ``metrics`` is an optional
     ``MetricsRegistry`` (see ``repro.obs``) the engine will aggregate
@@ -350,39 +381,3 @@ def build_caching_pipeline(
         metrics=metrics,
         resilience=resilience,
     )
-
-
-# ----------------------------------------------------------------------
-# Tree-based indexes (Section 3.6.1)
-# ----------------------------------------------------------------------
-@dataclass
-class TreePipeline:
-    """A tree index plus a leaf-node cache (EXACT or approximate).
-
-    Queries run through the unified engine's tree source; ``search``
-    returns the unified ``SearchResult`` whose stats carry the tree
-    counters (``leaf_fetches``, ``cached_leaf_hits``, ...) as optional
-    fields.
-    """
-
-    index: object
-    cache: LeafNodeCache | None
-    method: str
-    read_latency_s: float = 5e-3
-    engine: QueryEngine | None = None
-    metrics: object = None
-    #: The ``PipelineSpec`` this pipeline was built from (None for
-    #: hand-assembled pipelines); embedded in snapshot manifests.
-    spec: object | None = None
-
-    def __post_init__(self) -> None:
-        if self.engine is None:
-            self.engine = QueryEngine.for_tree(
-                self.index, self.cache, metrics=self.metrics
-            )
-
-    def search(self, query: np.ndarray, k: int) -> SearchResult:
-        return self.engine.search(query, k)
-
-    def search_many(self, queries: np.ndarray, k: int) -> list[SearchResult]:
-        return self.engine.search_many(queries, k)

@@ -227,12 +227,19 @@ class Experiment:
         The point file is shared through the ``WorkloadContext`` across
         experiments, so the wrapper must not leak: the returned callable
         restores the original disk and is invoked in a ``finally``.
+        Tree indexes read their leaves, not a point file, so there is
+        nothing to wrap and faults are rejected.
         """
         if self.faults is None or not self.faults.active:
             return lambda: None
+        point_file = pipeline.point_file
+        if point_file is None:
+            raise ValueError(
+                f"fault injection wraps the point file's disk; the "
+                f"{self.index_name!r} tree index reads leaves instead"
+            )
         from repro.faults.disk import FaultyDisk
 
-        point_file = pipeline.context.point_file
         original = point_file.disk
         point_file.disk = FaultyDisk(original, self.faults, registry=registry)
         def restore() -> None:
@@ -240,17 +247,20 @@ class Experiment:
         return restore
 
     def _finalize_metrics(self, registry: MetricsRegistry, pipeline) -> dict:
-        """Publish cache telemetry + drift view; return the snapshot."""
-        publish_cache_metrics(pipeline.cache, registry)
-        encoder = (
-            pipeline.cache.encoder
-            if isinstance(pipeline.cache, ApproximateCache)
-            else None
-        )
+        """Publish cache telemetry + drift view; return the snapshot.
+
+        The drift view compares against the candidate-path cost model,
+        so tree indexes report the registry snapshot alone.
+        """
+        cache = pipeline.cache
+        publish_cache_metrics(cache, registry)
+        if pipeline.engine.is_tree:
+            return registry.snapshot()
+        encoder = cache.encoder if isinstance(cache, ApproximateCache) else None
         drift = observed_vs_predicted(
             registry,
             pipeline.context.cost_model(),
-            cache=pipeline.cache,
+            cache=cache,
             tau=self.tau if encoder is not None else None,
             encoder=encoder,
             qr_points=pipeline.context.qr_points if encoder is not None else None,

@@ -1,7 +1,7 @@
 """``MutablePipeline``: cache-coherent insert/delete/update over a pipeline.
 
-The mutation layer wraps a built pipeline (``CachingPipeline`` or
-``TreePipeline``) and keeps four mutable structures coherent:
+The mutation layer wraps a built :class:`~repro.eval.methods.Pipeline`
+(either index family) and keeps four mutable structures coherent:
 
 1. the :class:`~repro.mutate.dataset.MutableDataset` (points, tombstone
    bitmap, attributes),
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import CachePolicy, LeafNodeCache, NoCache
+from repro.core.cache import CachePolicy, NoCache
 from repro.engine.sources import dedupe_ids
 from repro.index.linear_scan import LinearScanIndex
 from repro.mutate.advisor import AdvisorDecision, MutationAdvisor
@@ -160,12 +160,13 @@ class MutablePipeline:
     """Mutation-aware wrapper over a built pipeline.
 
     Args:
-        inner: a ``CachingPipeline`` or ``TreePipeline``.
+        inner: a built or snapshot-loaded ``Pipeline``.
         data: the mutable dataset (derived from the inner pipeline's
             points when omitted).
         workload: query workload driving revalidation (defaults to the
-            inner context's query log for ``CachingPipeline``).
-        k: revalidation k (defaults to the inner context's k).
+            query log of the workload context the inner pipeline was
+            trained from, if it carries one).
+        k: revalidation k (defaults to the inner pipeline's k).
         advisor: patch-vs-rebuild advisor (a default one is created).
         counters: mutation observability (a default one is created).
     """
@@ -178,19 +179,14 @@ class MutablePipeline:
     counters: MutationCounters = field(default_factory=MutationCounters)
 
     def __post_init__(self) -> None:
-        ctx = getattr(self.inner, "context", None)
-        if ctx is not None:  # CachingPipeline
-            if self.data is None:
-                self.data = MutableDataset(ctx.dataset.points)
-            if self.workload is None and ctx.dataset.query_log is not None:
-                self.workload = ctx.dataset.query_log.workload
-            if self.k is None:
-                self.k = ctx.k
-        else:  # TreePipeline: points/workload/k come from the caller
-            if self.data is None:
-                self.data = MutableDataset(self.index.points)
+        if self.data is None:
+            self.data = MutableDataset(self.inner.points)
+        context = self.inner.context
+        if self.workload is None and context is not None:
+            if context.dataset.query_log is not None:
+                self.workload = context.dataset.query_log.workload
         if self.k is None:
-            raise ValueError("tree pipelines need an explicit k")
+            self.k = self.inner.k
         if self.advisor is None:
             self.advisor = MutationAdvisor(baseline_workload=self.workload)
         self.engine.set_live_mask(self.data.live)
@@ -206,20 +202,16 @@ class MutablePipeline:
 
     @property
     def index(self):
-        ctx = getattr(self.inner, "context", None)
-        return ctx.index if ctx is not None else self.inner.index
+        return self.inner.index
 
     @property
     def point_file(self):
-        ctx = getattr(self.inner, "context", None)
-        return ctx.point_file if ctx is not None else None
+        return self.inner.point_file
 
     @property
     def cache(self):
         """The live cache (point caches may have been hot-swapped)."""
-        if self.is_tree:
-            return self.inner.cache
-        return self.engine.cache
+        return self.inner.cache
 
     @property
     def native_insert(self) -> bool:
@@ -249,10 +241,10 @@ class MutablePipeline:
             self.point_file.append(points)
         if self.native_insert:
             self.index.insert_many(points)
-            if self.is_tree and self.inner.cache is not None:
+            if self.is_tree and self.cache is not None:
                 # The relayout renumbers leaf ids; stale entries would
                 # serve the wrong points' bounds.
-                self.inner.cache.clear()
+                self.cache.clear()
         self.cache_extend()
         self.engine.set_live_mask(self.data.live)
         self.counters.applied(len(new_ids))
@@ -396,7 +388,7 @@ class MutablePipeline:
         if self.workload is None:
             raise ValueError("revalidation needs a workload")
         if self.is_tree:
-            cache = self.inner.cache
+            cache = self.cache
             if cache is None:
                 return 0
             cache.clear()

@@ -113,7 +113,7 @@ class ReferenceTwin:
         points = data.points.copy()
         self.index = _twin_index(pipeline.index, points)
         if pipeline.is_tree:
-            old = pipeline.inner.cache
+            old = pipeline.cache
             leaf_cache = None
             if old is not None:
                 leaf_cache = LeafNodeCache(

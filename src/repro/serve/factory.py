@@ -25,9 +25,7 @@ class _ReplicaPipelines:
     def __init__(self, pipelines, pool) -> None:
         self.pipelines = list(pipelines)
         self.pool = pool
-        self.engine = getattr(
-            self.pipelines[0], "engine", self.pipelines[0]
-        )
+        self.engine = self.pipelines[0].engine
 
     def close(self) -> None:
         for pipeline in self.pipelines:
@@ -49,7 +47,7 @@ def server_from_spec(
     """Materialize the serving stack a spec describes.
 
     Returns ``(server, pipeline)``; the pipeline is the built
-    ``CachingPipeline``/``TreePipeline`` (or the ``ShardedEngine`` when
+    :class:`~repro.eval.methods.Pipeline` (or the ``ShardedEngine`` when
     ``shard.n_shards > 0``, or a pipelines handle when
     ``replica.enabled``) so callers can inspect the engine, swap
     snapshots, or close shard workers.

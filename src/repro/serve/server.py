@@ -1,11 +1,12 @@
 """The long-lived serving front end over the query engines.
 
 ``Server`` owns an engine (a :class:`~repro.engine.engine.QueryEngine`,
-a :class:`~repro.shard.ShardedEngine`, or any pipeline exposing
-``.engine``), a bounded request queue with admission control, and a
-dynamic micro-batcher that coalesces concurrently waiting requests into
-one ``search_many`` call — amortizing the per-batch cache probe and
-kernel table build the same way the offline batched path does.
+a :class:`~repro.shard.ShardedEngine`, or the ``.engine`` of a
+:class:`~repro.eval.methods.Pipeline` of either index family), a
+bounded request queue with admission control, and a dynamic
+micro-batcher that coalesces concurrently waiting requests into one
+``search_many`` call — amortizing the per-batch cache probe and kernel
+table build the same way the offline batched path does.
 
 Guarantees:
 
@@ -221,8 +222,8 @@ class Server:
     """Queue + admission control + dynamic micro-batching over an engine.
 
     Args:
-        engine: the serving target.  Pipelines (``CachingPipeline`` /
-            ``TreePipeline``) are unwrapped to their ``.engine``; a
+        engine: the serving target.  A ``Pipeline`` (either index
+            family) is unwrapped to its ``.engine``; a
             ``QueryEngine`` additionally gets per-request deadlines
             threaded through its batched path, while other targets
             (e.g. ``ShardedEngine``) rely on the server's own

@@ -36,11 +36,7 @@ from repro.spec.sections import (
 
 
 def resolve_dataset(section: DatasetSection) -> Dataset:
-    """Materialize the spec's dataset (saved file wins over registry)."""
-    if section.path is not None:
-        from repro.artifacts.legacy import load_dataset_file
-
-        return load_dataset_file(section.path)
+    """Materialize the spec's registry dataset."""
     return load_dataset(section.name, seed=section.seed, scale=section.scale)
 
 
@@ -80,11 +76,22 @@ def spec_from_kwargs(
     seed: int = 0,
     kernel: str = "auto",
 ) -> PipelineSpec:
-    """A spec mirroring the historical ``build_caching_pipeline`` args."""
+    """A spec mirroring the historical ``build_caching_pipeline`` args.
+
+    The dataset section records the registry name, seed and scale a
+    ``load_dataset`` result carries, so rebuilding from the spec
+    regenerates the same points; other datasets fall back to the
+    pipeline ``seed``.
+    """
+    section = DatasetSection(seed=seed)
+    if dataset is not None:
+        section = DatasetSection(
+            name=dataset.name,
+            seed=seed if dataset.seed is None else dataset.seed,
+            scale=dataset.scale,
+        )
     return PipelineSpec(
-        dataset=DatasetSection(
-            name=dataset.name if dataset is not None else "tiny", seed=seed
-        ),
+        dataset=section,
         index=IndexSection(name=index_name),
         cache=CacheSection(
             method=method,
@@ -230,15 +237,15 @@ def build_pipeline(
     metrics=None,
     resilience=None,
 ):
-    """Materialize the pipeline a :class:`PipelineSpec` describes.
+    """Materialize the :class:`~repro.eval.methods.Pipeline` a spec describes.
 
-    Returns a ``CachingPipeline`` for candidate-path indexes or a
-    ``TreePipeline`` for tree indexes.  ``dataset``/``context`` override
-    the spec's dataset section with pre-built objects (shared across
-    methods in sweeps); ``metrics`` and ``resilience`` likewise override
-    the spec's sections with live objects.
+    Tree indexes get the Section-3.6.1 leaf cache, every other index a
+    point cache over the data file.  ``dataset``/``context`` override the
+    spec's dataset section with pre-built objects (shared across methods
+    in sweeps); ``metrics`` and ``resilience`` likewise override the
+    spec's sections with live objects.
     """
-    from repro.eval.methods import METHOD_NAMES
+    from repro.eval.methods import METHOD_NAMES, Pipeline
 
     method = spec.cache.method
     if method not in METHOD_NAMES:
@@ -252,12 +259,20 @@ def build_pipeline(
     if resilience is None and spec.resilience.enabled:
         _, resilience = build_resilience(spec.resilience)
     if spec.index.name in TREE_INDEX_NAMES:
-        return _build_tree(spec, dataset, context, metrics)
-    return _build_point(spec, dataset, context, metrics, resilience)
+        fields = _build_tree(spec, dataset, context, metrics)
+    else:
+        fields = _build_point(spec, dataset, context, metrics, resilience)
+    pipeline = Pipeline(method=method, tau=spec.cache.tau, spec=spec, **fields)
+    if spec.adapt.enabled:
+        pipeline.drift_controller = attach_adaptation(
+            spec, pipeline.context, pipeline.engine, metrics=metrics
+        )
+    return pipeline
 
 
-def _build_point(spec, dataset, context, metrics, resilience):
-    from repro.eval.methods import CachingPipeline, WorkloadContext
+def _build_point(spec, dataset, context, metrics, resilience) -> dict:
+    """The record fields of a candidate-path index over a point file."""
+    from repro.eval.methods import WorkloadContext
 
     if context is None:
         context = WorkloadContext.prepare(
@@ -283,19 +298,13 @@ def _build_point(spec, dataset, context, metrics, resilience):
         metrics=metrics,
         resilience=resilience,
     )
-    pipeline = CachingPipeline(
-        context=context,
-        cache=cache,
-        method=spec.cache.method,
-        tau=spec.cache.tau,
-        engine=engine,
-        spec=spec,
-    )
-    if spec.adapt.enabled:
-        pipeline.drift_controller = attach_adaptation(
-            spec, context, pipeline.engine, metrics=metrics
-        )
-    return pipeline
+    return {
+        "engine": engine,
+        "index": context.index,
+        "point_file": context.point_file,
+        "k": context.k,
+        "context": context,
+    }
 
 
 def attach_adaptation(spec, context, engine, metrics=None):
@@ -315,6 +324,11 @@ def attach_adaptation(spec, context, engine, metrics=None):
 
     adapt = spec.adapt
     method = spec.cache.method
+    if engine.is_tree:
+        raise ValueError(
+            "adaptation hot-swaps point caches; tree indexes keep their "
+            "leaf cache inside the engine's source"
+        )
     if method not in _GLOBAL_BUILDERS:
         raise ValueError(
             f"adaptation supports the global HC methods "
@@ -353,8 +367,9 @@ def attach_adaptation(spec, context, engine, metrics=None):
     return controller
 
 
-def _build_tree(spec, dataset, context, metrics):
-    from repro.eval.methods import TreePipeline, WorkloadContext
+def _build_tree(spec, dataset, context, metrics) -> dict:
+    """The record fields of a tree index with the Section-3.6.1 leaf cache."""
+    from repro.eval.methods import WorkloadContext
 
     method = spec.cache.method
     index = build_index(
@@ -364,10 +379,7 @@ def _build_tree(spec, dataset, context, metrics):
         value_bytes=dataset.value_bytes,
         params=spec.index.params,
     )
-    if method == "NO-CACHE":
-        return TreePipeline(
-            index=index, cache=None, method=method, metrics=metrics, spec=spec
-        )
+    cache = None
     if method == "EXACT":
         cache = LeafNodeCache(
             None,
@@ -375,7 +387,7 @@ def _build_tree(spec, dataset, context, metrics):
             exact=True,
             value_bytes=dataset.value_bytes,
         )
-    else:
+    elif method != "NO-CACHE":
         if context is None:
             context = WorkloadContext.prepare(
                 dataset,
@@ -384,20 +396,23 @@ def _build_tree(spec, dataset, context, metrics):
                 k=spec.k,
                 seed=spec.seed,
             )
-        encoder = context.encoder(method, spec.cache.tau)
         cache = LeafNodeCache(
-            encoder,
+            context.encoder(method, spec.cache.tau),
             spec.cache.cache_bytes,
             kernel=None if spec.cache.kernel == "auto" else spec.cache.kernel,
         )
-    if dataset.query_log is not None:
+    if cache is not None and dataset.query_log is not None:
         freqs = index.leaf_access_frequencies(
             dataset.query_log.workload, spec.k
         )
         cache.populate_by_frequency(freqs, index.leaf_contents)
-    return TreePipeline(
-        index=index, cache=cache, method=method, metrics=metrics, spec=spec
-    )
+    return {
+        "engine": QueryEngine.for_tree(index, cache, metrics=metrics),
+        "index": index,
+        "point_file": None,
+        "k": spec.k,
+        "context": context,
+    }
 
 
 def build_sharded(spec: PipelineSpec, dataset: Dataset | None = None, context=None):

@@ -4,7 +4,8 @@ Every section is a frozen dataclass holding only plain scalars and
 dicts, so a :class:`PipelineSpec` serializes losslessly to JSON or TOML
 and back.  ``from_dict`` is strict: unknown keys are an error, which is
 what lets artifact loaders distinguish a spec written by a newer schema
-from silent misconfiguration.
+from silent misconfiguration.  The one key it still reads without a
+field is the removed ``dataset.path``, and only as null.
 
 The spec deliberately knows nothing about how pipelines are built —
 :meth:`PipelineSpec.build` delegates to :mod:`repro.spec.build`, the one
@@ -34,16 +35,29 @@ def _section_from_dict(cls, data: dict, where: str):
 
 @dataclass(frozen=True)
 class DatasetSection:
-    """Which dataset to materialize (registry name or saved file).
-
-    ``path`` takes precedence: it points at a ``save_dataset`` file and
-    makes the spec reproducible without regenerating synthetic data.
-    """
+    """Which registry dataset to materialize (``load_dataset`` args)."""
 
     name: str = "tiny"
     scale: float = 1.0
     seed: int = 0
-    path: str | None = None
+
+
+def _without_dataset_path(data: dict) -> dict:
+    """Drop ``dataset.path: null``, which older manifests still embed.
+
+    The key named a legacy ``.npz`` dataset file; that format is gone,
+    so a non-null value cannot be honoured and is an error.
+    """
+    dataset = data.get("dataset")
+    if not isinstance(dataset, dict) or "path" not in dataset:
+        return data
+    if dataset["path"] is not None:
+        raise ValueError(
+            "spec key 'dataset.path' was removed along with the legacy "
+            ".npz dataset format; name a registry dataset instead"
+        )
+    kept = {key: value for key, value in dataset.items() if key != "path"}
+    return {**data, "dataset": kept}
 
 
 @dataclass(frozen=True)
@@ -225,6 +239,7 @@ class PipelineSpec:
         """Strict inverse of :meth:`to_dict` (unknown keys are errors)."""
         if not isinstance(data, dict):
             raise ValueError("a pipeline spec must be a table/object")
+        data = _without_dataset_path(data)
         known = set(_SECTIONS) | {"k", "ordering", "seed"}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -278,9 +293,9 @@ class PipelineSpec:
     def build(self, dataset=None, context=None, metrics=None, resilience=None):
         """Materialize the pipeline this spec describes.
 
-        Returns a ``CachingPipeline`` (candidate-path indexes) or a
-        ``TreePipeline`` (tree indexes).  Pass ``dataset``/``context``
-        to reuse pre-built inputs across methods.
+        Returns a :class:`~repro.eval.methods.Pipeline` for either
+        index family.  Pass ``dataset``/``context`` to reuse pre-built
+        inputs across methods.
         """
         from repro.spec.build import build_pipeline
 
